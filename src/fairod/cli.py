@@ -332,6 +332,7 @@ def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> int:
         raise UsageError("jobs must be >= 1")
     ds = _load_dataset(inputs["data"], config["standardize"])
     base = _load_fit(inputs["base"])
+    base = replace(base, scores=_rescore(base, ds, inputs["base"]))
     cfg_common = _train_config({**config, "alpha": 0.01, "gamma": 0.1},
                                config["seed"], "fairod")
     results = grid_search(ds, base,

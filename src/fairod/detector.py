@@ -59,10 +59,6 @@ class AutoencoderParams:
     def to_dict(self) -> dict[str, np.ndarray]:
         return {k: getattr(self, k) for k in PARAM_KEYS}
 
-    def replace_arrays(self, arrays: dict[str, np.ndarray]) -> "AutoencoderParams":
-        return AutoencoderParams(activation=self.activation,
-                                 **{k: arrays[k] for k in PARAM_KEYS})
-
     def to_json_dict(self) -> dict:
         doc = {"activation": self.activation, "arrays": {}}
         for k in PARAM_KEYS:

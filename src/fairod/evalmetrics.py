@@ -106,8 +106,7 @@ def harmonic_mean(values: list[float], literal: bool = False) -> float:
     return (1.0 if literal else float(len(values))) / s
 
 
-def group_fidelity(scoreset: ScoreSet, base: BaseScoreSet, groups: GroupView,
-                   literal_hm: bool = False) -> float | None:
+def group_fidelity(scoreset: ScoreSet, base: BaseScoreSet, groups: GroupView) -> float | None:
     """Harmonic mean of per-group NDCG between the model ranking and base
     relevances; None as soon as any group is degenerate."""
     if len(groups) < 2:
@@ -118,7 +117,7 @@ def group_fidelity(scoreset: ScoreSet, base: BaseScoreSet, groups: GroupView,
         if value is None:
             return None
         ndcgs.append(value)
-    return harmonic_mean(ndcgs, literal=literal_hm)
+    return harmonic_mean(ndcgs)
 
 
 def topk_rank_agreement(scoreset_a: ScoreSet, scoreset_b: ScoreSet, k: int) -> float:
@@ -283,8 +282,7 @@ class EvalReport:
 def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
                  base: BaseScoreSet | None = None,
                  base_scores: np.ndarray | None = None,
-                 config: dict | None = None,
-                 literal_hm: bool = False) -> EvalReport:
+                 config: dict | None = None) -> EvalReport:
     """Assemble all metrics.  Rank-fidelity measures (NDCG, GroupFidelity,
     top-k agreement) need `base`; supervised measures need ds.labels; both
     degrade to None with a note when their inputs are missing."""
@@ -307,7 +305,7 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
             ndcg[g] = ndcg_group(scores, base.normalized, groups[g])
             if ndcg[g] is None:
                 notes.append(f"ndcg degenerate for group {g}: all-zero relevances")
-        gf = group_fidelity(ss, base, groups, literal_hm=literal_hm)
+        gf = group_fidelity(ss, base, groups)
         if base_scores is None:
             base_scores = base.raw
         base_ss = ScoreSet.from_scores(np.asarray(base_scores, dtype=np.float64), ds.pv, f)

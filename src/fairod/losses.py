@@ -12,7 +12,7 @@ variance hits zero.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,8 +160,8 @@ def loss_sp(scores: np.ndarray, pv: np.ndarray) -> float:
 # -- smoothed ranks and group fidelity ---------------------------------------------------
 
 
-def _pairwise_rank_graph(su: Var, c: float, increasing: bool) -> Var:
-    """Smooth within-group ranks: 0.5 + sum_k sigma(+-c (s_k - s_i)).
+def _pairwise_rank_graph(su: Var, c: float) -> Var:
+    """Smooth within-group ranks: 0.5 + sum_k sigma(c (s_k - s_i)).
 
     The self pair contributes sigma(0) = 0.5 exactly, so adding 0.5 equals
     counting the self term as 1, keeping every rank >= 1.
@@ -169,15 +169,14 @@ def _pairwise_rank_graph(su: Var, c: float, increasing: bool) -> Var:
     Fused into one tape node: the (n,n) pair matrix dominates training
     cost, and a hand-written vector-Jacobian product keeps exactly one
     such matrix alive instead of one per elementwise op.  With
-    D = w*sigma*(1-sigma) and ranks_i = 0.5 + sum_k sigma(w (s_k - s_i)),
+    D = c*sigma*(1-sigma) and ranks_i = 0.5 + sum_k sigma(c (s_k - s_i)),
     the pullback of an upstream u is u @ D - u * D.sum(axis=1).
     """
-    w = c if increasing else -c
     s = su.value
     # sigma(z) = (1 + tanh(z/2)) / 2, built in place: the pair matrix is the
     # single biggest allocation in training, so exactly one is made here
     sig = s[None, :] - s[:, None]  # [i,k] = s_k - s_i
-    sig *= 0.5 * w
+    sig *= 0.5 * c
     np.tanh(sig, out=sig)
     sig *= 0.5
     sig += 0.5
@@ -186,19 +185,18 @@ def _pairwise_rank_graph(su: Var, c: float, increasing: bool) -> Var:
     def vjp(g):
         d = 1.0 - sig
         d *= sig
-        d *= w
+        d *= c
         return g @ d - g * d.sum(axis=1)
 
     return Var(ranks, (su,), (vjp,), "pairwise_rank")
 
 
-def smooth_rank(scores_in_group: np.ndarray, i: int, c: float = 50.0,
-                increasing: bool = True) -> float:
+def smooth_rank(scores_in_group: np.ndarray, i: int, c: float = 50.0) -> float:
     """Sigmoid-smoothed rank of item i among its group's raw scores
     (1 = top).  No rescaling happens here; loss_gf standardizes scores
     before using these ranks."""
     s = np.asarray(scores_in_group, dtype=np.float64)
-    ranks = _pairwise_rank_graph(as_var(s), c, increasing).value
+    ranks = _pairwise_rank_graph(as_var(s), c).value
     return float(ranks[i])
 
 
@@ -211,8 +209,7 @@ def _unit_scale_graph(sub_scores: Var) -> Var:
 
 
 def loss_gf_graph(scores: Var, base: BaseScoreSet, groups: GroupView,
-                  c: float = 50.0, increasing: bool = True,
-                  warn_degenerate: bool = False) -> Var:
+                  c: float = 50.0, warn_degenerate: bool = False) -> Var:
     total = as_var(0.0)
     for g in sorted(groups):
         idx = groups[g]
@@ -223,20 +220,19 @@ def loss_gf_graph(scores: Var, base: BaseScoreSet, groups: GroupView,
             continue
         rel = base.relevance[idx]
         su = _unit_scale_graph(scores.take_rows(idx))
-        ranks = _pairwise_rank_graph(su, c, increasing)
+        ranks = _pairwise_rank_graph(su, c)
         dcg = (as_var(rel) / ((ranks + 1.0).log2() * idcg)).sum()
         total = total + (1.0 - dcg)
     return total
 
 
 def loss_gf(scores: np.ndarray, base: BaseScoreSet, groups: GroupView,
-            c: float = 50.0, increasing: bool = True) -> float:
+            c: float = 50.0) -> float:
     """Listwise group-fidelity loss: per group, one minus the smooth-rank
     DCG of the model's ordering against base relevances, normalized by the
     group's ideal DCG."""
     return float(loss_gf_graph(as_var(np.asarray(scores, dtype=np.float64)),
-                               base, groups, c, increasing,
-                               warn_degenerate=True).value)
+                               base, groups, c, warn_degenerate=True).value)
 
 
 def loss_gf_corr_graph(scores: Var, base: BaseScoreSet, groups: GroupView,
@@ -265,20 +261,14 @@ def loss_gf_corr(scores: np.ndarray, base: BaseScoreSet, groups: GroupView) -> f
 
 @dataclass
 class TotalLossSpec:
-    """Description of one composite loss, consumable by numgrad.
-
-    pv/groups/base may be lists to sum the parity and fidelity terms over
-    multiple protected attributes; a cross-product of attributes is
-    deliberately not constructed.
-    """
+    """Description of one composite loss, consumable by numgrad."""
 
     variant: str
     weights: LossWeights
     activation: str = "tanh"
-    pv: np.ndarray | list[np.ndarray] | None = None
-    base: BaseScoreSet | list[BaseScoreSet] | None = None
-    groups: GroupView | list[GroupView] | None = None
-    increasing: bool = True
+    pv: np.ndarray | None = None
+    base: BaseScoreSet | None = None
+    groups: GroupView | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -287,19 +277,6 @@ class TotalLossSpec:
             raise ValueError(f"variant '{self.variant}' requires base scores")
         if self.variant != "base_only" and self.pv is None:
             raise ValueError(f"variant '{self.variant}' requires pv")
-
-    def _pv_list(self) -> list[np.ndarray]:
-        return self.pv if isinstance(self.pv, list) else [self.pv]
-
-    def _base_list(self) -> list[BaseScoreSet]:
-        return self.base if isinstance(self.base, list) else [self.base] * len(self._pv_list())
-
-    def _groups_list(self) -> list[GroupView]:
-        return self.groups if isinstance(self.groups, list) else [self.groups] * len(self._pv_list())
-
-    def build(self, param_vars: dict[str, Var], batch: np.ndarray) -> Var:
-        total, _ = self.components(param_vars, batch)
-        return total
 
     def components(self, param_vars: dict[str, Var], batch: np.ndarray
                    ) -> tuple[Var, dict[str, float]]:
@@ -323,41 +300,24 @@ class TotalLossSpec:
             comps["total"] = float(l_base.value)
             return l_base, comps
 
-        total = None
-
-        def accumulate(term):
-            nonlocal total
-            total = term if total is None else total + term
-
+        # alpha in [0,1], so at least one of the first two terms is present
+        terms = []
         if w.alpha > 0.0:
-            accumulate(l_base * w.alpha)
+            terms.append(l_base * w.alpha)
         if w.alpha < 1.0:
-            sp = named("loss_sp", lambda: sum_over(self._pv_list(), lambda pv: loss_sp_graph(scores, pv)))
+            sp = named("loss_sp", lambda: loss_sp_graph(scores, self.pv))
             comps["sp"] = float(sp.value)
-            accumulate(sp * (1.0 - w.alpha))
+            terms.append(sp * (1.0 - w.alpha))
         if w.gamma > 0.0 and self.variant in ("fairod", "fairod_c"):
             if self.variant == "fairod":
-                gf = named("loss_gf", lambda: sum_over(
-                    list(zip(self._base_list(), self._groups_list())),
-                    lambda bg: loss_gf_graph(scores, bg[0], bg[1], w.c, self.increasing)))
+                gf = named("loss_gf", lambda: loss_gf_graph(scores, self.base, self.groups, w.c))
             else:
-                gf = named("loss_gf_corr", lambda: sum_over(
-                    list(zip(self._base_list(), self._groups_list())),
-                    lambda bg: loss_gf_corr_graph(scores, bg[0], bg[1])))
+                gf = named("loss_gf_corr", lambda: loss_gf_corr_graph(scores, self.base, self.groups))
             comps["gf"] = float(gf.value)
-            accumulate(gf * w.gamma)
-        if total is None:  # alpha=1 with no other active terms never lands here, but be safe
-            total = l_base * w.alpha
+            terms.append(gf * w.gamma)
+        total = sum(terms[1:], terms[0])
         comps["total"] = float(total.value)
         return total, comps
-
-
-def sum_over(items, fn) -> Var:
-    total = None
-    for it in items:
-        term = fn(it)
-        total = term if total is None else total + term
-    return total if total is not None else as_var(0.0)
 
 
 def loss_base(params: AutoencoderParams, batch: np.ndarray) -> float:
@@ -366,22 +326,17 @@ def loss_base(params: AutoencoderParams, batch: np.ndarray) -> float:
                          weights=LossWeights(alpha=1.0, gamma=0.0),
                          activation=params.activation)
     pv_vars = {k: as_var(v) for k, v in params.to_dict().items()}
-    return float(spec.build(pv_vars, np.asarray(batch, dtype=np.float64)).value)
+    return float(spec.components(pv_vars, np.asarray(batch, dtype=np.float64))[0].value)
 
 
-def total_loss(params: AutoencoderParams, batch: np.ndarray,
-               pv: np.ndarray | list[np.ndarray] | None,
-               base: BaseScoreSet | list[BaseScoreSet] | None,
-               weights: LossWeights, variant: str,
-               groups: GroupView | list[GroupView] | None = None,
-               increasing: bool = True) -> float:
-    """Composite objective value for any variant; see TotalLossSpec."""
+def total_loss(params: AutoencoderParams, batch: np.ndarray, pv: np.ndarray | None,
+               base: BaseScoreSet | None, weights: LossWeights, variant: str,
+               groups: GroupView | None = None) -> float:
+    """Composite objective value for any variant; see TotalLossSpec.
+    Without `groups`, the groups are the distinct values of pv."""
     if groups is None and pv is not None:
-        pvs = pv if isinstance(pv, list) else [pv]
-        groups = [{int(g): np.flatnonzero(p == g) for g in np.unique(p)} for p in pvs]
-        if not isinstance(pv, list):
-            groups = groups[0]
+        groups = {int(g): np.flatnonzero(pv == g) for g in np.unique(pv)}
     spec = TotalLossSpec(variant=variant, weights=weights, activation=params.activation,
-                         pv=pv, base=base, groups=groups, increasing=increasing)
+                         pv=pv, base=base, groups=groups)
     pv_vars = {k: as_var(v) for k, v in params.to_dict().items()}
-    return float(spec.build(pv_vars, np.asarray(batch, dtype=np.float64)).value)
+    return float(spec.components(pv_vars, np.asarray(batch, dtype=np.float64))[0].value)

@@ -3,8 +3,13 @@
 A small tape-based engine in the micrograd style, vectorised with numpy:
 each `Var` wraps an ndarray and remembers how to push a cotangent back to
 its parents.  On top of the engine sit the three training primitives the
-rest of the package uses: `eval_loss_and_grad`, `finite_diff_grad` (the
-independent check), and bias-corrected Adam.
+rest of the package uses: `eval_loss_grad_components`, `finite_diff_grad`
+(the independent check), and bias-corrected Adam.
+
+A loss spec is any object with one method,
+`components(param_vars, batch) -> (Var, dict[str, float])`: the scalar loss
+node over leaf Vars keyed like the parameter dict, and a breakdown of its
+terms.  Both the gradient path and the value-only path call it.
 
 Everything is deterministic: no randomness, no threading, accumulation
 order fixed by graph construction order.
@@ -234,30 +239,15 @@ ParamDict = dict[str, np.ndarray]
 GradientSet = dict[str, np.ndarray]
 
 
-def eval_loss_and_grad(params: ParamDict, batch: np.ndarray, loss_spec) -> tuple[float, GradientSet]:
-    """Evaluate a loss and its gradient with respect to every parameter array.
+def eval_loss_grad_components(params: ParamDict, batch: np.ndarray, loss_spec
+                              ) -> tuple[float, GradientSet, dict[str, float]]:
+    """Evaluate a loss, its gradient with respect to every parameter array,
+    and the spec's term breakdown.
 
-    `loss_spec` must provide `build(param_vars, batch) -> Var` returning a
-    scalar loss node, where `param_vars` maps each key of `params` to a leaf
-    Var.  Gradients come back shape-matched to `params`; parameters the loss
+    Gradients come back shape-matched to `params`; parameters the loss
     never touches get exact zeros.  Non-finite intermediates raise
     NumericalOverflowError naming the offending operation or loss term.
     """
-    param_vars = {k: leaf(v, k) for k, v in params.items()}
-    loss = loss_spec.build(param_vars, batch)
-    loss.backward()
-    grads: GradientSet = {}
-    for k, v in params.items():
-        g = param_vars[k].grad
-        grads[k] = np.zeros_like(v) if g is None else np.asarray(g, dtype=np.float64)
-        _assert_finite(grads[k], f"grad[{k}]")
-    return float(loss.value), grads
-
-
-def eval_loss_grad_components(params: ParamDict, batch: np.ndarray, loss_spec
-                              ) -> tuple[float, GradientSet, dict[str, float]]:
-    """eval_loss_and_grad plus the loss term breakdown; `loss_spec` must
-    provide `components(param_vars, batch) -> (Var, dict[str, float])`."""
     param_vars = {k: leaf(v, k) for k, v in params.items()}
     loss, comps = loss_spec.components(param_vars, batch)
     loss.backward()
@@ -270,9 +260,9 @@ def eval_loss_grad_components(params: ParamDict, batch: np.ndarray, loss_spec
 
 
 def eval_loss(params: ParamDict, batch: np.ndarray, loss_spec) -> float:
-    """Loss value only, through the same graph as eval_loss_and_grad."""
+    """Loss value only, through the same graph as eval_loss_grad_components."""
     param_vars = {k: as_var(v) for k, v in params.items()}
-    return float(loss_spec.build(param_vars, batch).value)
+    return float(loss_spec.components(param_vars, batch)[0].value)
 
 
 def finite_diff_grad(params: ParamDict, batch: np.ndarray, loss_spec, h: float = 1e-5) -> GradientSet:

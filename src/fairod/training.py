@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .dataset import GroupView, LabeledDataset, group_view
 from .detector import AEConfig, AutoencoderParams, init_params, score
 from .evalmetrics import ScoreSet, fairness_metric, group_fidelity
 from .losses import VARIANTS, BaseScoreSet, LossWeights, TotalLossSpec, idcg_group
-from .numgrad import AdamState, adam_step, eval_loss_grad_components, init_adam
+from .numgrad import adam_step, eval_loss_grad_components, init_adam
 
 ALPHA_GRID = (0.01, 0.5, 0.9)
 GAMMA_GRID = (0.01, 0.1, 1.0)
@@ -102,8 +102,9 @@ class FitResult:
         return score(self.params, ds.features)
 
 
-def _slice_base(base: BaseScoreSet, rows: np.ndarray, groups_in_batch: GroupView) -> BaseScoreSet:
-    """Restrict precomputed base scores to a minibatch, keeping the global
+def _slice_base(base: BaseScoreSet, rows: np.ndarray | slice,
+                groups_in_batch: GroupView) -> BaseScoreSet:
+    """Restrict precomputed base scores to a batch, keeping the global
     normalization bounds but recomputing per-group ideal gains."""
     normalized = base.normalized[rows]
     return BaseScoreSet(
@@ -120,12 +121,6 @@ def _batch_groups(pv_batch: np.ndarray) -> GroupView:
     return {int(g): np.flatnonzero(pv_batch == g) for g in np.unique(pv_batch)}
 
 
-def _spec_for(cfg: TrainConfig, pv: np.ndarray | None, base: BaseScoreSet | None,
-              groups: GroupView | None) -> TotalLossSpec:
-    return TotalLossSpec(variant=cfg.variant, weights=cfg.weights, pv=pv,
-                         base=base, groups=groups)
-
-
 def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
              base_set: BaseScoreSet | None) -> FitResult:
     started = time.perf_counter()
@@ -134,46 +129,37 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
     params = init_params(AEConfig.for_dim(ds.d, seed=cfg.seed)).to_dict()
     activation = "tanh"
     adam = init_adam(params, lr=cfg.lr)
-    needs_groups = variant != "base_only"
-    pv = ds.pv if needs_groups else None
-    groups = group_view(ds) if needs_groups else None
+    pv = ds.pv if variant != "base_only" else None
     trace: dict[str, list[float]] = {k: [] for k in TRACE_KEYS}
     rng = np.random.default_rng(cfg.seed)
+    batch_size = cfg.batch_size or ds.n
 
-    if cfg.batch_size is None:
-        spec = TotalLossSpec(variant=variant, weights=cfg.weights, activation=activation,
-                             pv=pv, base=base_set, groups=groups)
-        for epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
+        # a full batch is all rows in row order with no draw from rng, taken
+        # as a view: gathering 2400 rows of X by index costs about 50 us
+        order = None if cfg.batch_size is None else rng.permutation(ds.n)
+        sums = {k: 0.0 for k in TRACE_KEYS}
+        for start in range(0, ds.n, batch_size):
+            rows = slice(None) if order is None else order[start:start + batch_size]
+            X_b = X[rows]
+            pv_b = None if pv is None else pv[rows]
+            groups_b = None if pv_b is None else _batch_groups(pv_b)
+            base_b = None if base_set is None else _slice_base(base_set, rows, groups_b)
+            spec = TotalLossSpec(variant=variant, weights=cfg.weights,
+                                 activation=activation, pv=pv_b,
+                                 base=base_b, groups=groups_b)
             try:
-                _, grads, comps = eval_loss_grad_components(params, X, spec)
+                _, grads, comps = eval_loss_grad_components(params, X_b, spec)
             except FloatingPointError as e:
                 raise TrainingError(
                     f"{variant} fit diverged at epoch {epoch}: {e}") from e
+            # the row weight is formed before multiplying: for a single batch
+            # it is exactly 1.0, so a full-batch trace holds its terms bit for bit
             for k in TRACE_KEYS:
-                trace[k].append(comps[k])
+                sums[k] += comps[k] * (X_b.shape[0] / ds.n)
             params, adam = adam_step(adam, params, grads)
-    else:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(ds.n)
-            sums = {k: 0.0 for k in TRACE_KEYS}
-            for start in range(0, ds.n, cfg.batch_size):
-                rows = order[start:start + cfg.batch_size]
-                pv_b = None if pv is None else pv[rows]
-                groups_b = None if pv_b is None else _batch_groups(pv_b)
-                base_b = None if base_set is None else _slice_base(base_set, rows, groups_b)
-                spec = TotalLossSpec(variant=variant, weights=cfg.weights,
-                                     activation=activation, pv=pv_b,
-                                     base=base_b, groups=groups_b)
-                try:
-                    _, grads, comps = eval_loss_grad_components(params, X[rows], spec)
-                except FloatingPointError as e:
-                    raise TrainingError(
-                        f"{variant} fit diverged at epoch {epoch}: {e}") from e
-                for k in TRACE_KEYS:
-                    sums[k] += comps[k] * rows.size
-                params, adam = adam_step(adam, params, grads)
-            for k in TRACE_KEYS:
-                trace[k].append(sums[k] / ds.n)
+        for k in TRACE_KEYS:
+            trace[k].append(sums[k])
 
     trained = AutoencoderParams(**{k: params[k] for k in params}, activation=activation)
     scores = score(trained, X)
@@ -251,7 +237,7 @@ def _grid_cell(ds: LabeledDataset, base: FitResult, cfg: TrainConfig) -> GridRes
         fit = fit_fairod(ds, base, cfg)
         fairness, gf = unsupervised_metrics(fit, ds, base.scores)
         return GridResult(config=cfg, fit=fit, fairness=fairness, group_fidelity=gf)
-    except Exception as e:
+    except (TrainingError, FloatingPointError, ValueError) as e:
         return GridResult(config=cfg, fit=None, fairness=None, group_fidelity=None,
                           error=f"{type(e).__name__}: {e}")
 

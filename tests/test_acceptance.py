@@ -32,7 +32,7 @@ from fairod.evalmetrics import (
     ndcg_group,
 )
 from fairod.losses import BaseScoreSet, LossWeights, TotalLossSpec, loss_gf, loss_sp
-from fairod.numgrad import eval_loss_and_grad, finite_diff_grad
+from fairod.numgrad import eval_loss_grad_components, finite_diff_grad
 from fairod.training import (
     TrainConfig,
     fit_base_multi_seed,
@@ -116,7 +116,7 @@ def test_ac1_gradient_exactness():
                                   gamma=float(rng.uniform(0.05, 1.0)))
             spec = TotalLossSpec(variant=variant, weights=weights, pv=pv,
                                  base=base, groups=groups)
-            _, got = eval_loss_and_grad(params.to_dict(), X, spec)
+            _, got = eval_loss_grad_components(params.to_dict(), X, spec)[:2]
             want = finite_diff_grad(params.to_dict(), X, spec, h=1e-5)
             for k in got:
                 denom = np.maximum(np.abs(want[k]), 1e-8)

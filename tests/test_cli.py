@@ -191,8 +191,9 @@ class TestEval:
     def test_width_mismatch_is_data_error(self, work, tmp_path):
         wide = tmp_path / "wide.csv"
         wide.write_text("f_0,f_1,f_2,pv\n1,2,3,a\n4,5,6,b\n2,1,0,a\n3,2,2,b\n")
-        assert run("eval", "--data", wide, "--model", work["base"],
-                   "--out", tmp_path) == cli.EXIT_DATA
+        for command, flag, extra in (("eval", "--model", ()), ("grid", "--base", ("--seed", 3))):
+            assert run(command, "--data", wide, flag, work["base"], *extra,
+                       "--out", tmp_path / command) == cli.EXIT_DATA
 
     def test_missing_model_is_data_error(self, work, tmp_path):
         assert run("eval", "--data", work["data"], "--model", tmp_path / "no.json",

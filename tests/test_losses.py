@@ -26,7 +26,7 @@ from fairod.losses import (
     smooth_rank,
     total_loss,
 )
-from fairod.numgrad import eval_loss_and_grad, finite_diff_grad
+from fairod.numgrad import eval_loss_grad_components, finite_diff_grad
 
 
 def groups_of(pv):
@@ -177,12 +177,6 @@ def test_smooth_rank_top_item_sharp():
 
 def test_smooth_rank_single_member():
     assert smooth_rank(np.array([4.2]), 0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_smooth_rank_orientation_flip_mirrors_negation():
-    s = np.array([0.3, -1.2, 0.9, 2.0])
-    for i in range(4):
-        assert smooth_rank(s, i, increasing=False) == smooth_rank(-s, i, increasing=True)
 
 
 def test_smooth_rank_matches_discrete_when_sharp(rng):
@@ -369,7 +363,7 @@ def test_zero_net_zero_input_base_loss_and_grads_zero():
     for k in params.to_dict():
         getattr(params, k)[:] = 0.0
     spec = TotalLossSpec(variant="base_only", weights=LossWeights(1.0, 0.0))
-    loss, grads = eval_loss_and_grad(params.to_dict(), np.zeros((4, 3)), spec)
+    loss, grads = eval_loss_grad_components(params.to_dict(), np.zeros((4, 3)), spec)[:2]
     assert loss == 0.0
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
@@ -379,25 +373,11 @@ def test_gradients_match_finite_differences_all_variants(rng):
     for variant in ("base_only", "fairod", "fairod_l", "fairod_c"):
         spec = TotalLossSpec(variant=variant, weights=LossWeights(0.5, 0.1),
                              activation="tanh", pv=pv, base=base, groups=groups)
-        _, got = eval_loss_and_grad(params.to_dict(), X, spec)
+        _, got = eval_loss_grad_components(params.to_dict(), X, spec)[:2]
         want = finite_diff_grad(params.to_dict(), X, spec)
         for k in got:
             denom = np.maximum(np.abs(want[k]), 1e-8)
             assert np.max(np.abs(got[k] - want[k]) / denom) < 1e-4
-
-
-def test_multi_pv_sums_terms(rng):
-    X, pv, groups, params, base = setup_net(rng)
-    pv2 = np.array([0, 1] * 6)
-    groups2 = groups_of(pv2)
-    base2 = make_base(score(params, X), groups2)
-    w = LossWeights(alpha=0.5, gamma=0.2)
-    both = total_loss(params, X, [pv, pv2], [base, base2], w, "fairod", [groups, groups2])
-    s = score(params, X)
-    want = (0.5 * loss_base(params, X)
-            + 0.5 * (loss_sp(s, pv) + loss_sp(s, pv2))
-            + 0.2 * (loss_gf(s, base, groups) + loss_gf(s, base2, groups2)))
-    assert both == pytest.approx(want, abs=1e-12)
 
 
 def test_loss_weight_validation():

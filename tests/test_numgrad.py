@@ -13,7 +13,7 @@ from fairod.numgrad import (
     adam_step,
     as_var,
     eval_loss,
-    eval_loss_and_grad,
+    eval_loss_grad_components,
     finite_diff_grad,
     init_adam,
     leaf,
@@ -26,8 +26,8 @@ class FnSpec:
     def __init__(self, fn):
         self.fn = fn
 
-    def build(self, param_vars, batch):
-        return self.fn(param_vars, batch)
+    def components(self, param_vars, batch):
+        return self.fn(param_vars, batch), {}
 
 
 def max_rel_err(analytic, numeric):
@@ -39,7 +39,7 @@ def max_rel_err(analytic, numeric):
 
 
 def check_grads(params, batch, spec, tol=1e-4):
-    _, got = eval_loss_and_grad(params, batch, spec)
+    _, got = eval_loss_grad_components(params, batch, spec)[:2]
     want = finite_diff_grad(params, batch, spec)
     assert max_rel_err(got, want) < tol
 
@@ -123,7 +123,7 @@ def test_composite_function_matches_finite_differences(seed):
         return s.sum() * 0.1 + centered.abs().sum() / (var.sqrt() + 1e-8)
 
     params2 = {k: v.copy() for k, v in params.items()}
-    _, got = eval_loss_and_grad(params, x, FnSpec(fn))
+    _, got = eval_loss_grad_components(params, x, FnSpec(fn))[:2]
     want = finite_diff_grad(params2, x, FnSpec(fn))
     assert max_rel_err(got, want) < 1e-4
 
@@ -134,7 +134,7 @@ def test_composite_function_matches_finite_differences(seed):
 def test_untouched_params_get_zero_grads(rng):
     params = {"a": rng.normal(size=(2,)), "unused": rng.normal(size=(3, 3))}
     spec = FnSpec(lambda p, _: (p["a"] * p["a"]).sum())
-    _, grads = eval_loss_and_grad(params, np.zeros(1), spec)
+    _, grads = eval_loss_grad_components(params, np.zeros(1), spec)[:2]
     assert np.array_equal(grads["unused"], np.zeros((3, 3)))
 
 
@@ -164,8 +164,8 @@ def test_eval_is_deterministic(rng):
     params = {"w": rng.normal(size=(3, 3))}
     x = rng.normal(size=(4, 3))
     spec = FnSpec(lambda p, b: ((as_var(b) @ p["w"]).tanh()).sum())
-    l1, g1 = eval_loss_and_grad(params, x, spec)
-    l2, g2 = eval_loss_and_grad(params, x, spec)
+    l1, g1 = eval_loss_grad_components(params, x, spec)[:2]
+    l2, g2 = eval_loss_grad_components(params, x, spec)[:2]
     assert l1 == l2
     assert all(np.array_equal(g1[k], g2[k]) for k in g1)
 
@@ -179,7 +179,7 @@ def test_eval_loss_matches_grad_path_value(rng):
         return (y * y).sum()
 
     spec = FnSpec(fn)
-    assert eval_loss(params, x, spec) == eval_loss_and_grad(params, x, spec)[0]
+    assert eval_loss(params, x, spec) == eval_loss_grad_components(params, x, spec)[0]
 
 
 def test_finite_diff_on_quadratic():
@@ -265,6 +265,6 @@ def test_adam_descends_on_quadratic():
     state = init_adam(params, lr=0.05)
     spec = FnSpec(lambda p, _: (p["t"] * p["t"]).sum())
     for _ in range(400):
-        _, g = eval_loss_and_grad(params, np.zeros(1), spec)
+        _, g = eval_loss_grad_components(params, np.zeros(1), spec)[:2]
         params, state = adam_step(state, params, g)
     assert abs(params["t"][0]) < 1e-2

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fairod.dataset import LabeledDataset, make_synth1, standardize
+from fairod.dataset import LabeledDataset, group_view, make_synth1, standardize
+from fairod.detector import AEConfig, init_params
 from fairod.evalmetrics import ScoreSet, fairness_metric
-from fairod.losses import BaseScoreSet
+from fairod.losses import BaseScoreSet, TotalLossSpec
+from fairod.numgrad import eval_loss_grad_components
 from fairod.training import (
     ALPHA_GRID,
     GAMMA_GRID,
@@ -244,6 +248,38 @@ def test_minibatch_fairod_runs():
     assert any(v != 0.0 for v in fo.trace["gf"])
 
 
+def test_batch_covering_all_rows_matches_full_batch():
+    # one shuffled batch sums the same terms as the full batch in another order
+    ds = tiny_ds(n=40, seed=9)
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=10, seed=1))
+    for variant in ("base_only", "fairod", "fairod_l", "fairod_c"):
+        cfg = TrainConfig(variant=variant, alpha=0.5, gamma=0.5, epochs=10, seed=1)
+        full = fit_fairod(ds, base, cfg)
+        for batch_size in (ds.n, ds.n + 7):
+            one = fit_fairod(ds, base, replace(cfg, batch_size=batch_size))
+            for k, v in full.params.to_dict().items():
+                np.testing.assert_allclose(getattr(one.params, k), v, rtol=1e-9, atol=0.0)
+            for k, v in full.trace.items():
+                np.testing.assert_allclose(one.trace[k], v, rtol=1e-9, atol=0.0)
+
+
+def test_full_batch_trace_holds_batch_terms_exactly():
+    # the trace averages batches by row weight; with one batch the weight is
+    # exactly 1.0, so the first epoch's entries are the initial loss terms
+    ds = tiny_ds(n=40, seed=9)
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=10, seed=1))
+    base_set = BaseScoreSet.from_scores(base.scores, group_view(ds))
+    for seed in range(5):
+        params = init_params(AEConfig.for_dim(ds.d, seed=seed)).to_dict()
+        for variant in ("base_only", "fairod", "fairod_l", "fairod_c"):
+            cfg = TrainConfig(variant=variant, alpha=0.5, gamma=0.5, epochs=1, seed=seed)
+            fit = fit_fairod(ds, base, cfg)
+            spec = TotalLossSpec(variant=variant, weights=cfg.weights, pv=ds.pv,
+                                 base=base_set, groups=group_view(ds))
+            comps = eval_loss_grad_components(params, ds.features, spec)[2]
+            assert {k: v[0] for k, v in fit.trace.items()} == {k: comps[k] for k in fit.trace}
+
+
 # -- multi-seed base ----------------------------------------------------------------------
 
 
@@ -302,6 +338,20 @@ def test_grid_search_captures_per_cell_errors(monkeypatch):
     assert cells[0].error is None and cells[0].fit is not None
     assert cells[1].error is not None and cells[1].fit is None
     assert "TrainingError" in cells[1].error
+
+
+def test_grid_search_propagates_programming_errors(monkeypatch):
+    from fairod import training
+
+    def broken(ds, base, cfg):
+        raise TypeError("fit_fairod() got an unexpected keyword argument")
+
+    monkeypatch.setattr(training, "fit_fairod", broken)
+    ds = tiny_ds(n=24, seed=5)
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=5, seed=0))
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        grid_search(ds, base, grid={"alpha": [0.1], "gamma": [0.1]},
+                    cfg_common=TrainConfig(epochs=5, seed=0))
 
 
 def test_grid_search_parallel_matches_serial():
