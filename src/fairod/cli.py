@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from . import __version__
 from .claimcheck import verify_claim1, verify_claim2
 from .dataset import (
     DataError,
+    GroupView,
     LabeledDataset,
     group_view,
     load_csv,
@@ -86,39 +87,44 @@ def _as_float_list(raw: str) -> tuple[float, ...]:
     return vals
 
 
-_CONFIG_TYPES = {
-    "variant": str,
-    "alpha": float,
-    "gamma": float,
-    "c": float,
-    "lr": float,
-    "epochs": int,
-    "batch_size": _as_batch_size,
-    "flag_fraction": float,
-    "standardize": _as_bool,
-    "base_seeds": int,
-    "alpha_grid": _as_float_list,
-    "gamma_grid": _as_float_list,
-    "jobs": int,
-    "max_n": int,
-}
+def _as_fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < 1.0:
+        raise UsageError(f"flag_fraction must be in (0,1), got {raw!r}")
+    return value
 
-_TRAIN_DEFAULTS = {
-    "variant": "fairod", "alpha": 0.01, "gamma": 0.1, "c": 50.0, "lr": 0.01,
-    "epochs": 1000, "batch_size": None, "flag_fraction": 0.05,
-    "standardize": False, "base_seeds": 5,
+
+# Every config key is defined once: the config-file line `key = value` and the
+# flag `--key` (with `_` written as `-`) share its parser and its default.
+_PARSERS = {
+    "variant": str, "alpha": float, "gamma": float, "c": float, "lr": float,
+    "epochs": int, "batch_size": _as_batch_size, "flag_fraction": _as_fraction,
+    "standardize": _as_bool, "verify_treatment_parity": _as_bool, "base_seeds": int,
+    "alpha_grid": _as_float_list, "gamma_grid": _as_float_list, "jobs": int, "max_n": int,
 }
-_EVAL_DEFAULTS = {"flag_fraction": 0.05, "standardize": False,
-                  "verify_treatment_parity": False}
-_GRID_DEFAULTS = {
-    "alpha_grid": ALPHA_GRID, "gamma_grid": GAMMA_GRID, "c": 50.0, "lr": 0.01,
-    "epochs": 1000, "batch_size": None, "flag_fraction": 0.05,
-    "standardize": False, "jobs": 1,
+_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)} | {
+    "standardize": False, "verify_treatment_parity": False, "base_seeds": 5,
+    "alpha_grid": ALPHA_GRID, "gamma_grid": GAMMA_GRID, "jobs": 1, "max_n": 10,
 }
-_ABLATE_DEFAULTS = {
-    "alpha": 0.01, "gamma": 0.1, "c": 50.0, "lr": 0.01, "epochs": 1000,
-    "batch_size": None, "flag_fraction": 0.05, "standardize": False,
+_HELP = {
+    "variant": "base (or base_only), fairod, fairod_l or fairod_c",
+    "c": "rank-smoothing sharpness",
+    "standardize": "center/scale features before use",
+    "verify_treatment_parity": "assert scores ignore the pv column",
+    "base_seeds": "restarts for the base variant (default 5)",
 }
+_FIT_KEYS = ("c", "lr", "epochs", "batch_size", "flag_fraction", "standardize")
+_KEYS = {
+    "train": ("variant", "alpha", "gamma") + _FIT_KEYS + ("base_seeds",),
+    "eval": ("flag_fraction", "standardize", "verify_treatment_parity"),
+    "grid": ("alpha_grid", "gamma_grid") + _FIT_KEYS + ("jobs",),
+    "ablate": ("alpha", "gamma") + _FIT_KEYS,
+    "claims": ("max_n",),
+}
+_SYNTH_KEYS = ("name", "major", "minor", "outliers", "x1_std")
+_SEEDED = ("synth", "train", "grid", "ablate")  # commands whose config records --seed
+_INPUTS = {"train": ("data",), "eval": ("data", "model"), "grid": ("data", "base"),
+           "ablate": ("data", "base")}  # inputs an executor cannot run without
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -139,21 +145,23 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _resolve_config(defaults: dict, config_path: str | None, cli_values: dict) -> dict:
-    """Materialize every key: defaults, then file entries, then set CLI flags."""
-    resolved = dict(defaults)
-    if config_path:
-        for key, raw in _read_config_file(config_path).items():
-            if key not in defaults:
-                raise UsageError(f"unknown config key {key!r} (known: "
-                                 f"{', '.join(sorted(defaults))})")
-            try:
-                resolved[key] = _CONFIG_TYPES[key](raw)
-            except ValueError as e:
-                raise UsageError(f"bad value for config key {key!r}: {e}") from e
-    for key, val in cli_values.items():
-        if val is not None:
-            resolved[key] = val
+def _resolve_config(ns: argparse.Namespace) -> dict:
+    """Materialize the command's keys: defaults, then file entries, then set flags."""
+    keys = _KEYS[ns.command]
+    resolved = {k: _DEFAULTS[k] for k in keys}
+    for key, raw in (_read_config_file(ns.config) if ns.config else {}).items():
+        if key not in keys:
+            raise UsageError(f"unknown config key {key!r} (known: "
+                             f"{', '.join(sorted(keys))})")
+        try:
+            resolved[key] = _PARSERS[key](raw)
+        except ValueError as e:
+            raise UsageError(f"bad value for config key {key!r}: {e}") from e
+    for key in keys:
+        if getattr(ns, key) is not None:
+            resolved[key] = getattr(ns, key)
+    if ns.command in _SEEDED:
+        resolved["seed"] = ns.seed
     return resolved
 
 
@@ -202,6 +210,15 @@ def _load_dataset(path: str, do_standardize: bool) -> LabeledDataset:
     return standardize(ds) if do_standardize else ds
 
 
+def _groups(ds: LabeledDataset, path: str) -> GroupView:
+    """The pv groups of a dataset that fairness is measured on."""
+    groups = group_view(ds)
+    if len(groups) < 2:
+        raise DataError(f"dataset {path} has {len(groups)} pv group; "
+                        "fairness needs at least 2")
+    return groups
+
+
 def _load_fit(path: str) -> FitResult:
     try:
         return FitResult.from_json(Path(path).read_text(encoding="utf-8"))
@@ -228,13 +245,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _train_config(config: dict, seed: int, variant: str) -> TrainConfig:
+def _train_config(config: dict, variant: str) -> TrainConfig:
+    """TrainConfig from the keys it shares with `config`; the rest keep its defaults."""
+    shared = {f.name: config[f.name] for f in fields(TrainConfig) if f.name in config}
     try:
-        return TrainConfig(
-            alpha=config["alpha"], gamma=config["gamma"], c=config["c"],
-            lr=config["lr"], epochs=config["epochs"],
-            batch_size=config["batch_size"],
-            flag_fraction=config["flag_fraction"], seed=seed, variant=variant)
+        return TrainConfig(**shared | {"variant": variant})
     except ValueError as e:
         raise UsageError(str(e)) from e
 
@@ -274,7 +289,7 @@ def _exec_train(config: dict, inputs: dict, out_dir: Path) -> int:
     if variant != "base_only" and "base" not in inputs:
         raise UsageError(f"--base is required for variant {variant}")
     ds = _load_dataset(inputs["data"], config["standardize"])
-    cfg = _train_config(config, config["seed"], variant)
+    cfg = _train_config(config, variant)
     if variant == "base_only":
         if config["base_seeds"] < 1:
             raise UsageError("base_seeds must be >= 1")
@@ -296,13 +311,14 @@ def _exec_train(config: dict, inputs: dict, out_dir: Path) -> int:
 def _exec_eval(config: dict, inputs: dict, out_dir: Path) -> int:
     started = _utcnow()
     ds = _load_dataset(inputs["data"], config["standardize"])
+    groups = _groups(ds, inputs["data"])
     model = _load_fit(inputs["model"])
     scores = _rescore(model, ds, inputs["model"])
     if "base" in inputs:
         base_scores = _rescore(_load_fit(inputs["base"]), ds, inputs["base"])
     else:
         base_scores = scores
-    base_set = BaseScoreSet.from_scores(base_scores, group_view(ds))
+    base_set = BaseScoreSet.from_scores(base_scores, groups)
     report = build_report(scores, ds, config["flag_fraction"], base=base_set,
                           config={"model": str(inputs["model"]),
                                   "base": str(inputs.get("base", inputs["model"]))})
@@ -314,7 +330,7 @@ def _exec_eval(config: dict, inputs: dict, out_dir: Path) -> int:
         report.notes.append("treatment parity verified: pv permutation left every "
                             "score bit unchanged")
     (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-    gids = sorted(group_view(ds))
+    gids = sorted(groups)
     _write_csv(out_dir / "report.csv", EvalReport.csv_header(gids),
                [report.to_csv_row(gids)])
     _write_manifest(out_dir, "eval", config, inputs,
@@ -331,10 +347,10 @@ def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> int:
     if config["jobs"] < 1:
         raise UsageError("jobs must be >= 1")
     ds = _load_dataset(inputs["data"], config["standardize"])
+    _groups(ds, inputs["data"])  # every cell's selection metrics need two groups
     base = _load_fit(inputs["base"])
     base = replace(base, scores=_rescore(base, ds, inputs["base"]))
-    cfg_common = _train_config({**config, "alpha": 0.01, "gamma": 0.1},
-                               config["seed"], "fairod")
+    cfg_common = _train_config(config, "fairod")
     results = grid_search(ds, base,
                           grid={"alpha": list(config["alpha_grid"]),
                                 "gamma": list(config["gamma_grid"])},
@@ -372,11 +388,12 @@ ABLATION_VARIANTS = ("fairod", "fairod_l", "fairod_c", "base")
 def _exec_ablate(config: dict, inputs: dict, out_dir: Path) -> int:
     started = _utcnow()
     ds = _load_dataset(inputs["data"], config["standardize"])
+    groups = _groups(ds, inputs["data"])
     base = _load_fit(inputs["base"])
     base_scores = _rescore(base, ds, inputs["base"])
-    base_set = BaseScoreSet.from_scores(base_scores, group_view(ds))
-    cfg = _train_config(config, config["seed"], "fairod")
-    gids = sorted(group_view(ds))
+    base_set = BaseScoreSet.from_scores(base_scores, groups)
+    cfg = _train_config(config, "fairod")
+    gids = sorted(groups)
     rows = []
     for variant in ABLATION_VARIANTS:
         if variant == "base":
@@ -427,14 +444,22 @@ def _exec_replay(manifest_path: str, out_dir: Path) -> int:
     try:
         doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
         command = doc["command"]
-        config = doc["config"]
-        inputs = doc["inputs"]
+        config = dict(doc["config"])
+        inputs = dict(doc["inputs"])
     except OSError as e:
         raise DataError(f"cannot read manifest {manifest_path}: {e}") from e
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"bad manifest {manifest_path}: {e}") from e
     if command not in _EXECUTORS:
         raise DataError(f"manifest names unknown command {command!r}")
+    keys = set(_KEYS.get(command, _SYNTH_KEYS)) | ({"seed"} if command in _SEEDED else set())
+    if set(config) != keys:
+        raise DataError(f"bad manifest {manifest_path}: {command} config has keys "
+                        f"{sorted(config)}, expected {sorted(keys)}")
+    missing = [k for k in _INPUTS.get(command, ()) if k not in inputs]
+    if missing:
+        raise DataError(f"bad manifest {manifest_path}: {command} inputs lack "
+                        f"{', '.join(missing)}")
     print(f"replaying {command} into {out_dir}")
     return _EXECUTORS[command](config, inputs, out_dir)
 
@@ -451,20 +476,14 @@ def _add_out(p):
     p.add_argument("--out", required=True, help="output directory")
 
 
-def _add_train_flags(p, variant: bool = False, cell: bool = False):
-    if variant:
-        p.add_argument("--variant", default=None,
-                       choices=["base", "base_only", "fairod", "fairod_l", "fairod_c"])
-    if cell:
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--c", type=float, default=None, help="rank-smoothing sharpness")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=_as_batch_size, default=None)
-    p.add_argument("--flag-fraction", type=float, default=None)
-    p.add_argument("--standardize", action="store_const", const=True, default=None,
-                   help="center/scale features before use")
+def _add_config_flags(p, command: str) -> None:
+    """One flag per config key of `command`, unset (None) unless given."""
+    for key in _KEYS[command]:
+        parse = _PARSERS[key]
+        kind = ({"action": "store_const", "const": True} if parse is _as_bool
+                else {"type": parse})
+        p.add_argument("--" + key.replace("_", "-"), default=None, help=_HELP.get(key),
+                       **kind)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
@@ -487,10 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a detector and write FitResult JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--base", default=None, help="base FitResult JSON (fairod variants)")
-    p.add_argument("--base-seeds", type=int, default=None,
-                   help="restarts for the base variant (default 5)")
     p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p, variant=True, cell=True)
+    _add_config_flags(p, "train")
     _add_out(p)
 
     p = sub.add_parser("eval", help="score a dataset and write an evaluation report")
@@ -498,33 +515,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="FitResult JSON to evaluate")
     p.add_argument("--base", default=None,
                    help="reference FitResult JSON (defaults to the model itself)")
-    p.add_argument("--flag-fraction", type=float, default=None)
-    p.add_argument("--standardize", action="store_const", const=True, default=None)
-    p.add_argument("--verify-treatment-parity", action="store_const", const=True,
-                   default=None, help="assert scores ignore the pv column")
-    p.add_argument("--config", default=None)
+    _add_config_flags(p, "eval")
     _add_out(p)
 
     p = sub.add_parser("grid", help="hyperparameter grid search with Pareto selection")
     p.add_argument("--data", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alpha-grid", type=_as_float_list, default=None)
-    p.add_argument("--gamma-grid", type=_as_float_list, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    _add_train_flags(p)
+    _add_config_flags(p, "grid")
     _add_out(p)
 
     p = sub.add_parser("ablate", help="compare fairod, fairod_l, fairod_c, base")
     p.add_argument("--data", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p, cell=True)
+    _add_config_flags(p, "ablate")
     _add_out(p)
 
     p = sub.add_parser("claims", help="exhaustively verify both finite-population claims")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--config", default=None)
+    _add_config_flags(p, "claims")
     _add_out(p)
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")
@@ -542,41 +551,14 @@ def _abs_paths(pairs: dict) -> dict:
 
 def _dispatch(ns: argparse.Namespace) -> int:
     out_dir = _prepare_out(ns.out)
-    if ns.command == "synth":
-        config = {"name": ns.name, "major": ns.major, "minor": ns.minor,
-                  "outliers": ns.outliers, "seed": ns.seed, "x1_std": ns.x1_std}
-        return _exec_synth(config, {}, out_dir)
-    if ns.command == "train":
-        cli = {k: getattr(ns, k) for k in _TRAIN_DEFAULTS}
-        config = _resolve_config(_TRAIN_DEFAULTS, ns.config, cli)
-        config["seed"] = ns.seed
-        return _exec_train(config, _abs_paths({"data": ns.data, "base": ns.base}),
-                           out_dir)
-    if ns.command == "eval":
-        cli = {"flag_fraction": ns.flag_fraction, "standardize": ns.standardize,
-               "verify_treatment_parity": ns.verify_treatment_parity}
-        config = _resolve_config(_EVAL_DEFAULTS, ns.config, cli)
-        return _exec_eval(config,
-                          _abs_paths({"data": ns.data, "model": ns.model,
-                                      "base": ns.base}), out_dir)
-    if ns.command == "grid":
-        cli = {k: getattr(ns, k) for k in _GRID_DEFAULTS}
-        config = _resolve_config(_GRID_DEFAULTS, ns.config, cli)
-        config["seed"] = ns.seed
-        return _exec_grid(config, _abs_paths({"data": ns.data, "base": ns.base}),
-                          out_dir)
-    if ns.command == "ablate":
-        cli = {k: getattr(ns, k) for k in _ABLATE_DEFAULTS}
-        config = _resolve_config(_ABLATE_DEFAULTS, ns.config, cli)
-        config["seed"] = ns.seed
-        return _exec_ablate(config, _abs_paths({"data": ns.data, "base": ns.base}),
-                            out_dir)
-    if ns.command == "claims":
-        config = _resolve_config({"max_n": 10}, ns.config, {"max_n": ns.max_n})
-        return _exec_claims(config, {}, out_dir)
     if ns.command == "replay":
         return _exec_replay(ns.manifest, out_dir)
-    raise UsageError(f"unknown command {ns.command!r}")
+    if ns.command == "synth":
+        config = {k: getattr(ns, k) for k in _SYNTH_KEYS + ("seed",)}
+    else:
+        config = _resolve_config(ns)
+    inputs = _abs_paths({k: getattr(ns, k, None) for k in ("data", "model", "base")})
+    return _EXECUTORS[ns.command](config, inputs, out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:

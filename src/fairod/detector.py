@@ -1,5 +1,6 @@
 """Autoencoder base detector: sizing rule, initialization, forward pass,
-and reconstruction-error scoring.
+and reconstruction-error scoring.  Both hidden layers are tanh; the model
+file records that as `"activation": "tanh"` and no other value loads.
 
 The scoring path is params-only by construction: neither `reconstruct` nor
 `score` accepts group information, so treatment parity is structural.
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numgrad import Var, as_var
-
-ACTIVATIONS = ("tanh", "relu", "logistic", "linear")
 
 PARAM_KEYS = ("W_enc1", "b_enc1", "W_dec1", "b_dec1", "W_out", "b_out")
 
@@ -30,23 +29,20 @@ def hidden_size_rule(d: int) -> int:
 class AEConfig:
     input_dim: int
     hidden_dim: int
-    activation: str = "tanh"
     seed: int = 0
 
     def __post_init__(self):
         if self.input_dim < 1 or self.hidden_dim < 1:
             raise ValueError("input_dim and hidden_dim must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
     @classmethod
-    def for_dim(cls, d: int, activation: str = "tanh", seed: int = 0) -> "AEConfig":
-        return cls(input_dim=d, hidden_dim=hidden_size_rule(d), activation=activation, seed=seed)
+    def for_dim(cls, d: int, seed: int = 0) -> "AEConfig":
+        return cls(input_dim=d, hidden_dim=hidden_size_rule(d), seed=seed)
 
 
 @dataclass
 class AutoencoderParams:
-    """Two hidden layers total: encode d->m, decode m->m, linear output m->d."""
+    """Two tanh hidden layers: encode d->m, decode m->m, linear output m->d."""
 
     W_enc1: np.ndarray
     b_enc1: np.ndarray
@@ -54,13 +50,12 @@ class AutoencoderParams:
     b_dec1: np.ndarray
     W_out: np.ndarray
     b_out: np.ndarray
-    activation: str = "tanh"
 
     def to_dict(self) -> dict[str, np.ndarray]:
         return {k: getattr(self, k) for k in PARAM_KEYS}
 
     def to_json_dict(self) -> dict:
-        doc = {"activation": self.activation, "arrays": {}}
+        doc = {"activation": "tanh", "arrays": {}}
         for k in PARAM_KEYS:
             a = getattr(self, k)
             doc["arrays"][k] = {"shape": list(a.shape), "data": a.ravel().tolist()}
@@ -68,11 +63,14 @@ class AutoencoderParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AutoencoderParams":
+        if doc["activation"] != "tanh":
+            raise ValueError(f"unsupported activation {doc['activation']!r}; "
+                             "the detector is tanh-only")
         arrays = {}
         for k in PARAM_KEYS:
             entry = doc["arrays"][k]
             arrays[k] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        return cls(activation=doc["activation"], **arrays)
+        return cls(**arrays)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -98,39 +96,25 @@ def init_params(cfg: AEConfig) -> AutoencoderParams:
         b_dec1=np.zeros(m),
         W_out=_glorot(rng, m, d),
         b_out=np.zeros(d),
-        activation=cfg.activation,
     )
 
 
-def _activate(h: Var, activation: str) -> Var:
-    if activation == "tanh":
-        return h.tanh()
-    if activation == "relu":
-        return h.relu()
-    if activation == "logistic":
-        return h.logistic()
-    if activation == "linear":
-        return h
-    raise ValueError(f"unknown activation '{activation}'")
-
-
-def reconstruct_graph(param_vars: dict[str, Var], X: np.ndarray | Var,
-                      activation: str) -> Var:
+def reconstruct_graph(param_vars: dict[str, Var], X: np.ndarray | Var) -> Var:
     """Forward pass on the tape; X may be a batch (N,d) or a single row (d,)."""
     x = as_var(X)
     if x.value.ndim == 1:
         x = x.reshape((1, x.value.shape[0]))
-    h1 = _activate(x @ param_vars["W_enc1"] + param_vars["b_enc1"], activation)
-    h2 = _activate(h1 @ param_vars["W_dec1"] + param_vars["b_dec1"], activation)
+    h1 = (x @ param_vars["W_enc1"] + param_vars["b_enc1"]).tanh()
+    h2 = (h1 @ param_vars["W_dec1"] + param_vars["b_dec1"]).tanh()
     return h2 @ param_vars["W_out"] + param_vars["b_out"]
 
 
-def score_graph(param_vars: dict[str, Var], X: np.ndarray | Var, activation: str) -> Var:
+def score_graph(param_vars: dict[str, Var], X: np.ndarray | Var) -> Var:
     """Per-row squared reconstruction error on the tape."""
     x = as_var(X)
     if x.value.ndim == 1:
         x = x.reshape((1, x.value.shape[0]))
-    resid = x - reconstruct_graph(param_vars, x, activation)
+    resid = x - reconstruct_graph(param_vars, x)
     return (resid * resid).sum(axis=1)
 
 
@@ -142,12 +126,12 @@ def _check_width(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"input width {width} does not match detector input_dim {d}")
     return X
 
+
 def reconstruct(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
     """Deterministic reconstruction; accepts a row (d,) or batch (N,d)."""
     X = _check_width(params, X)
     squeeze = X.ndim == 1
-    out = reconstruct_graph({k: as_var(v) for k, v in params.to_dict().items()},
-                            X, params.activation).value
+    out = reconstruct_graph({k: as_var(v) for k, v in params.to_dict().items()}, X).value
     return out[0] if squeeze else out
 
 
@@ -155,6 +139,5 @@ def score(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
     """Outlier score per row: squared L2 distance between input and reconstruction."""
     X = _check_width(params, X)
     squeeze = X.ndim == 1
-    out = score_graph({k: as_var(v) for k, v in params.to_dict().items()},
-                      X, params.activation).value
+    out = score_graph({k: as_var(v) for k, v in params.to_dict().items()}, X).value
     return out[0] if squeeze else out

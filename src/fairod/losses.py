@@ -265,7 +265,6 @@ class TotalLossSpec:
 
     variant: str
     weights: LossWeights
-    activation: str = "tanh"
     pv: np.ndarray | None = None
     base: BaseScoreSet | None = None
     groups: GroupView | None = None
@@ -293,7 +292,7 @@ class TotalLossSpec:
             except NumericalOverflowError as e:
                 raise NumericalOverflowError(f"{term}: {e}") from None
 
-        scores = named("loss_base", lambda: score_graph(param_vars, batch, self.activation))
+        scores = named("loss_base", lambda: score_graph(param_vars, batch))
         l_base = scores.sum()
         comps["base"] = float(l_base.value)
         if self.variant == "base_only":
@@ -322,9 +321,7 @@ class TotalLossSpec:
 
 def loss_base(params: AutoencoderParams, batch: np.ndarray) -> float:
     """Reconstruction objective: sum over rows of squared reconstruction error."""
-    spec = TotalLossSpec(variant="base_only",
-                         weights=LossWeights(alpha=1.0, gamma=0.0),
-                         activation=params.activation)
+    spec = TotalLossSpec(variant="base_only", weights=LossWeights(alpha=1.0, gamma=0.0))
     pv_vars = {k: as_var(v) for k, v in params.to_dict().items()}
     return float(spec.components(pv_vars, np.asarray(batch, dtype=np.float64))[0].value)
 
@@ -336,7 +333,6 @@ def total_loss(params: AutoencoderParams, batch: np.ndarray, pv: np.ndarray | No
     Without `groups`, the groups are the distinct values of pv."""
     if groups is None and pv is not None:
         groups = {int(g): np.flatnonzero(pv == g) for g in np.unique(pv)}
-    spec = TotalLossSpec(variant=variant, weights=weights, activation=params.activation,
-                         pv=pv, base=base, groups=groups)
+    spec = TotalLossSpec(variant=variant, weights=weights, pv=pv, base=base, groups=groups)
     pv_vars = {k: as_var(v) for k, v in params.to_dict().items()}
     return float(spec.components(pv_vars, np.asarray(batch, dtype=np.float64))[0].value)

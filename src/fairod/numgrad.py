@@ -153,18 +153,6 @@ class Var:
         t = np.tanh(self.value)
         return Var(t, (self,), (lambda g: g * (1.0 - t * t),), "tanh")
 
-    def relu(self):
-        a = self.value
-        out = np.maximum(a, 0.0)
-        return Var(out, (self,), (lambda g: g * (a > 0.0),), "relu")
-
-    def logistic(self):
-        """Numerically stable sigmoid: never overflows for large |x|."""
-        a = self.value
-        e = np.exp(-np.abs(a))
-        s = np.where(a >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return Var(s, (self,), (lambda g: g * s * (1.0 - s),), "logistic")
-
     def exp(self):
         e = np.exp(self.value)
         return Var(e, (self,), (lambda g: g * e,), "exp")
@@ -292,23 +280,23 @@ def finite_diff_grad(params: ParamDict, batch: np.ndarray, loss_spec, h: float =
 
 # -- Adam ----------------------------------------------------------------------
 
+ADAM_B1 = 0.9  # first-moment decay
+ADAM_B2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments, keyed like the parameter dict."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: ParamDict = field(default_factory=dict)
     v: ParamDict = field(default_factory=dict)
 
 
-def init_adam(params: ParamDict, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params: ParamDict, lr: float) -> AdamState:
+    state = AdamState(lr=lr)
     state.m = {k: np.zeros_like(v) for k, v in params.items()}
     state.v = {k: np.zeros_like(v) for k, v in params.items()}
     return state
@@ -318,7 +306,7 @@ def adam_step(state: AdamState, params: ParamDict, grads: GradientSet) -> tuple[
     """One Adam update; returns fresh params, mutates and returns the state."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_B1, ADAM_B2
     out: ParamDict = {}
     for k, p in params.items():
         g = grads[k]
@@ -326,6 +314,6 @@ def adam_step(state: AdamState, params: ParamDict, grads: GradientSet) -> tuple[
         state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
         m_hat = state.m[k] / (1.0 - b1 ** t)
         v_hat = state.v[k] / (1.0 - b2 ** t)
-        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         _assert_finite(out[k], f"adam_step[{k}]")
     return out, state

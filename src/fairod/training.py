@@ -127,7 +127,6 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
     cfg_run = replace(cfg, variant=variant)
     X = ds.features
     params = init_params(AEConfig.for_dim(ds.d, seed=cfg.seed)).to_dict()
-    activation = "tanh"
     adam = init_adam(params, lr=cfg.lr)
     pv = ds.pv if variant != "base_only" else None
     trace: dict[str, list[float]] = {k: [] for k in TRACE_KEYS}
@@ -145,8 +144,7 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
             pv_b = None if pv is None else pv[rows]
             groups_b = None if pv_b is None else _batch_groups(pv_b)
             base_b = None if base_set is None else _slice_base(base_set, rows, groups_b)
-            spec = TotalLossSpec(variant=variant, weights=cfg.weights,
-                                 activation=activation, pv=pv_b,
+            spec = TotalLossSpec(variant=variant, weights=cfg.weights, pv=pv_b,
                                  base=base_b, groups=groups_b)
             try:
                 _, grads, comps = eval_loss_grad_components(params, X_b, spec)
@@ -161,7 +159,7 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
         for k in TRACE_KEYS:
             trace[k].append(sums[k])
 
-    trained = AutoencoderParams(**{k: params[k] for k in params}, activation=activation)
+    trained = AutoencoderParams(**params)
     scores = score(trained, X)
     if not np.all(np.isfinite(scores)):
         raise TrainingError(f"{variant} fit produced non-finite scores")

@@ -50,3 +50,21 @@ def test_total_loss_without_groups(rng):
     got = losses.total_loss(params, X, pv, base, w, "fairod")
     assert np.isfinite(got)
     assert got == losses.total_loss(params, X, pv, base, w, "fairod", groups)
+
+
+def test_base_score_set_by_keyword_and_spec_without_activation(rng):
+    # bench/workloads.py builds per-batch base sets field by field, lo and hi
+    # included, and specs without naming an activation
+    X, pv, groups, params, base = _problem(rng)
+    rows = np.arange(6)
+    norm = base.normalized[rows]
+    batch_base = losses.BaseScoreSet(
+        raw=base.raw[rows], lo=base.lo, hi=base.hi, normalized=norm,
+        relevance=np.exp2(norm) - 1.0,
+        idcg={int(g): losses.idcg_group(norm[pv[rows] == g]) for g in np.unique(pv[rows])})
+    spec = losses.TotalLossSpec(variant="fairod", weights=losses.LossWeights(0.5, 0.1),
+                                pv=pv[rows], base=batch_base,
+                                groups={int(g): np.flatnonzero(pv[rows] == g)
+                                        for g in np.unique(pv[rows])})
+    loss, _, comps = numgrad.eval_loss_grad_components(params.to_dict(), X[rows], spec)
+    assert np.isfinite(loss) and comps["gf"] > 0.0

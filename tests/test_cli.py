@@ -199,6 +199,35 @@ class TestEval:
         assert run("eval", "--data", work["data"], "--model", tmp_path / "no.json",
                    "--out", tmp_path) == cli.EXIT_DATA
 
+    def test_non_tanh_model_is_data_error(self, work, tmp_path, capsys):
+        doc = read_json(work["base"])
+        doc["params"]["activation"] = "relu"
+        relu = tmp_path / "relu.json"
+        relu.write_text(json.dumps(doc))
+        assert run("eval", "--data", work["data"], "--model", relu,
+                   "--out", tmp_path / "ev") == cli.EXIT_DATA
+        assert "relu" in capsys.readouterr().err
+
+    def test_flag_fraction_outside_unit_interval_is_usage_error(self, work, tmp_path,
+                                                                 capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("flag_fraction = 1.5\n")
+        for how in (("--flag-fraction", 1.5), ("--flag-fraction", 0), ("--config", cfg)):
+            assert run("eval", "--data", work["data"], "--model", work["base"], *how,
+                       "--out", tmp_path / "ev") == cli.EXIT_USAGE
+            assert "usage error" in capsys.readouterr().err
+
+    def test_single_group_data_is_data_error(self, work, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("f_0,f_1,pv\n1,2,a\n4,5,a\n2,1,a\n3,2,a\n")
+        for command, flag, extra in (("eval", "--model", ()),
+                                     ("grid", "--base", ("--seed", 3, "--epochs", 2)),
+                                     ("ablate", "--base", ("--seed", 3, "--epochs", 2))):
+            assert run(command, "--data", one, flag, work["base"], *extra,
+                       "--out", tmp_path / command) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert "data error" in err and "1 pv group" in err
+
 
 @pytest.fixture(scope="module")
 def grid_dir(work, tmp_path_factory):
@@ -325,6 +354,85 @@ class TestReplay:
         bad.write_text(json.dumps({"command": "frobnicate", "config": {},
                                    "inputs": {}}))
         assert run("replay", "--manifest", bad, "--out", tmp_path) == cli.EXIT_DATA
+
+    def test_manifest_missing_config_or_inputs_is_data_error(self, work, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"command": "eval", "config": {}, "inputs": {}}))
+        assert run("replay", "--manifest", bad, "--out", tmp_path) == cli.EXIT_DATA
+        assert "bad manifest" in capsys.readouterr().err
+        doc = read_json(work["root"] / "fair" / "manifest.json")
+        del doc["inputs"]["data"]
+        bad.write_text(json.dumps(doc))
+        assert run("replay", "--manifest", bad, "--out", tmp_path) == cli.EXIT_DATA
+        assert "bad manifest" in capsys.readouterr().err
+
+
+# a non-default value per config key: (config-file text, flag arguments)
+KEY_VALUES = {
+    "variant": ("base", ("base",)), "alpha": ("0.5", ("0.5",)),
+    "gamma": ("0.3", ("0.3",)), "c": ("20", ("20",)), "lr": ("0.2", ("0.2",)),
+    "epochs": ("7", ("7",)), "batch_size": ("16", ("16",)),
+    "flag_fraction": ("0.1", ("0.1",)), "standardize": ("true", ()),
+    "verify_treatment_parity": ("yes", ()), "base_seeds": ("2", ("2",)),
+    "alpha_grid": ("0.1,0.2", ("0.1,0.2",)), "gamma_grid": ("0.5", ("0.5",)),
+    "jobs": ("2", ("2",)), "max_n": ("6", ("6",)),
+}
+TRAIN_DEFAULTS = {"c": 50.0, "lr": 0.01, "epochs": 1000, "batch_size": None,
+                  "flag_fraction": 0.05, "standardize": False}
+COMMAND_DEFAULTS = {
+    "train": {"variant": "fairod", "alpha": 0.01, "gamma": 0.1, **TRAIN_DEFAULTS,
+              "base_seeds": 5, "seed": 1},
+    "eval": {"flag_fraction": 0.05, "standardize": False,
+             "verify_treatment_parity": False},
+    "grid": {"alpha_grid": [0.01, 0.5, 0.9], "gamma_grid": [0.01, 0.1, 1.0],
+             **TRAIN_DEFAULTS, "jobs": 1, "seed": 1},
+    "ablate": {"alpha": 0.01, "gamma": 0.1, **TRAIN_DEFAULTS, "seed": 1},
+    "claims": {"max_n": 10},
+}
+REQUIRED = {"train": ("--data", "d.csv", "--seed", 1),
+            "eval": ("--data", "d.csv", "--model", "m.json"),
+            "grid": ("--data", "d.csv", "--base", "b.json", "--seed", 1),
+            "ablate": ("--data", "d.csv", "--base", "b.json", "--seed", 1),
+            "claims": ()}
+
+
+def resolved_config(monkeypatch, tmp_path, command, *args):
+    """The manifest config a command would record, without running it."""
+    seen = {}
+
+    def capture(config, inputs, out_dir):
+        seen["config"] = json.loads(json.dumps({k: cli._jsonable(v)
+                                                for k, v in config.items()}))
+        return cli.EXIT_OK
+    monkeypatch.setitem(cli._EXECUTORS, command, capture)
+    assert run(command, *REQUIRED[command], *args, "--out", tmp_path / "out") == 0
+    return seen["config"]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+    def test_defaults_per_command(self, command, monkeypatch, tmp_path):
+        assert resolved_config(monkeypatch, tmp_path, command) == COMMAND_DEFAULTS[command]
+
+    @pytest.mark.parametrize("command,key", [(c, k) for c, d in sorted(COMMAND_DEFAULTS.items())
+                                             for k in d if k != "seed"])
+    def test_flag_and_config_line_agree(self, command, key, monkeypatch, tmp_path):
+        text, flag_args = KEY_VALUES[key]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        by_file = resolved_config(monkeypatch, tmp_path, command, "--config", cfg)
+        by_flag = resolved_config(monkeypatch, tmp_path, command,
+                                  "--" + key.replace("_", "-"), *flag_args)
+        assert by_file == by_flag
+        assert by_flag[key] != COMMAND_DEFAULTS[command][key]
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "grid", "ablate",
+                                         "claims", "replay"])
+    def test_help_formats(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
 
 
 class TestParsing:

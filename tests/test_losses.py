@@ -372,7 +372,7 @@ def test_gradients_match_finite_differences_all_variants(rng):
     X, pv, groups, params, base = setup_net(rng, n=10)
     for variant in ("base_only", "fairod", "fairod_l", "fairod_c"):
         spec = TotalLossSpec(variant=variant, weights=LossWeights(0.5, 0.1),
-                             activation="tanh", pv=pv, base=base, groups=groups)
+                             pv=pv, base=base, groups=groups)
         _, got = eval_loss_grad_components(params.to_dict(), X, spec)[:2]
         want = finite_diff_grad(params.to_dict(), X, spec)
         for k in got:
