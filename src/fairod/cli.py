@@ -96,11 +96,13 @@ def _as_fraction(raw: str) -> float:
 
 # Every config key is defined once: the config-file line `key = value` and the
 # flag `--key` (with `_` written as `-`) share its parser and its default.
+# A replayed manifest's values go through the same parsers, `seed` included.
 _PARSERS = {
     "variant": str, "alpha": float, "gamma": float, "c": float, "lr": float,
     "epochs": int, "batch_size": _as_batch_size, "flag_fraction": _as_fraction,
     "standardize": _as_bool, "verify_treatment_parity": _as_bool, "base_seeds": int,
     "alpha_grid": _as_float_list, "gamma_grid": _as_float_list, "jobs": int, "max_n": int,
+    "seed": int,
 }
 _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)} | {
     "standardize": False, "verify_treatment_parity": False, "base_seeds": 5,
@@ -145,6 +147,20 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+def _parse_value(key: str, raw: str):
+    """A config value from its config-file spelling, through the parser its
+    flag uses; config-file lines and replayed manifests both come here."""
+    try:
+        return _PARSERS[key](raw)
+    except ValueError as e:
+        raise UsageError(f"bad value for config key {key!r}: {e}") from e
+
+
+def _manifest_text(value) -> str:
+    """A manifest config value in its config-file spelling."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
 def _resolve_config(ns: argparse.Namespace) -> dict:
     """Materialize the command's keys: defaults, then file entries, then set flags."""
     keys = _KEYS[ns.command]
@@ -153,10 +169,7 @@ def _resolve_config(ns: argparse.Namespace) -> dict:
         if key not in keys:
             raise UsageError(f"unknown config key {key!r} (known: "
                              f"{', '.join(sorted(keys))})")
-        try:
-            resolved[key] = _PARSERS[key](raw)
-        except ValueError as e:
-            raise UsageError(f"bad value for config key {key!r}: {e}") from e
+        resolved[key] = _parse_value(key, raw)
     for key in keys:
         if getattr(ns, key) is not None:
             resolved[key] = getattr(ns, key)
@@ -456,10 +469,15 @@ def _exec_replay(manifest_path: str, out_dir: Path) -> int:
     if set(config) != keys:
         raise DataError(f"bad manifest {manifest_path}: {command} config has keys "
                         f"{sorted(config)}, expected {sorted(keys)}")
-    missing = [k for k in _INPUTS.get(command, ()) if k not in inputs]
+    needed = _INPUTS.get(command, ())
+    if command == "train" and config["variant"] not in ("base", "base_only"):
+        needed += ("base",)  # the fairod variants train against a base model
+    missing = [k for k in needed if k not in inputs]
     if missing:
         raise DataError(f"bad manifest {manifest_path}: {command} inputs lack "
                         f"{', '.join(missing)}")
+    config = {k: _parse_value(k, _manifest_text(v)) if k in _PARSERS else v
+              for k, v in config.items()}
     print(f"replaying {command} into {out_dir}")
     return _EXECUTORS[command](config, inputs, out_dir)
 

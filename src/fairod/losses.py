@@ -160,33 +160,67 @@ def loss_sp(scores: np.ndarray, pv: np.ndarray) -> float:
 # -- smoothed ranks and group fidelity ---------------------------------------------------
 
 
+# Rows per block of the smoothed-rank pair computation: a block holds at
+# most _RANK_BLOCK * n pair values, which bounds the rank term's memory.
+_RANK_BLOCK = 64
+
+
 def _pairwise_rank_graph(su: Var, c: float) -> Var:
     """Smooth within-group ranks: 0.5 + sum_k sigma(c (s_k - s_i)).
 
     The self pair contributes sigma(0) = 0.5 exactly, so adding 0.5 equals
     counting the self term as 1, keeping every rank >= 1.
 
-    Fused into one tape node: the (n,n) pair matrix dominates training
-    cost, and a hand-written vector-Jacobian product keeps exactly one
-    such matrix alive instead of one per elementwise op.  With
-    D = c*sigma*(1-sigma) and ranks_i = 0.5 + sum_k sigma(c (s_k - s_i)),
-    the pullback of an upstream u is u @ D - u * D.sum(axis=1).
+    One tape node with a hand-written vector-Jacobian product, and no
+    (n,n) matrix.  With h = (c/2) s and t_ik = tanh(h_k - h_i),
+    sigma(c (s_k - s_i)) = (1 + t_ik)/2, so ranks = 0.5 + n/2 + sum_k t_ik/2.
+    t is antisymmetric, so each row block [a, b) forms only the pairs
+    k >= a: their row sums go to rows a:b and the column sums of the part
+    k >= b are subtracted from rows b:.  A group of at most _RANK_BLOCK
+    rows is a single block.
+
+    The pullback of an upstream u is u @ D - u * D.sum(axis=1) with
+    D = c sigma (1 - sigma) = (c/4)(1 - T), T = t*t.  D is symmetric, so
+    it equals (c/4)(sum(u) - T u - u (n - T.sum(axis=1))).  The VJP
+    recomputes every block but the forward pass's last one (at most
+    _RANK_BLOCK x _RANK_BLOCK, the whole matrix of a one-block group)
+    rather than keeping n^2/2 values alive.
     """
     s = su.value
-    # sigma(z) = (1 + tanh(z/2)) / 2, built in place: the pair matrix is the
-    # single biggest allocation in training, so exactly one is made here
-    sig = s[None, :] - s[:, None]  # [i,k] = s_k - s_i
-    sig *= 0.5 * c
-    np.tanh(sig, out=sig)
-    sig *= 0.5
-    sig += 0.5
-    ranks = sig.sum(axis=1) + 0.5
+    n = s.size
+    h = (0.5 * c) * s
+    starts = range(0, n, _RANK_BLOCK)
+
+    def block(a):
+        b = min(a + _RANK_BLOCK, n)
+        t = h[a:] - h[a:b, None]  # [i - a, k - a] = h_k - h_i
+        np.tanh(t, out=t)
+        return b, t
+
+    tsum = np.zeros(n)
+    for a in starts:
+        b, last = block(a)  # after the loop: the final block, which the VJP reuses
+        tsum[a:b] += last.sum(axis=1)
+        if b < n:
+            tsum[b:] -= last[:, b - a:].sum(axis=0)
+    ranks = tsum * 0.5 + (0.5 + 0.5 * n)
 
     def vjp(g):
-        d = 1.0 - sig
-        d *= sig
-        d *= c
-        return g @ d - g * d.sum(axis=1)
+        tg = np.zeros(n)
+        tsq = np.zeros(n)
+        for a in reversed(starts):
+            if a == starts[-1]:
+                b, t = n, np.square(last)
+            else:
+                b, t = block(a)
+                np.square(t, out=t)
+            tg[a:b] += t @ g[a:]
+            tsq[a:b] += t.sum(axis=1)
+            if b < n:
+                right = t[:, b - a:]
+                tg[b:] += g[a:b] @ right
+                tsq[b:] += right.sum(axis=0)
+        return (0.25 * c) * (g.sum() - tg - g * (n - tsq))
 
     return Var(ranks, (su,), (vjp,), "pairwise_rank")
 

@@ -366,6 +366,42 @@ class TestReplay:
         assert run("replay", "--manifest", bad, "--out", tmp_path) == cli.EXIT_DATA
         assert "bad manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("flag_fraction", 1.5), ("flag_fraction", "x"),
+                                           ("standardize", "maybe")])
+    def test_manifest_bad_value_is_usage_error(self, work, tmp_path, key, value, capsys):
+        first = tmp_path / "first"
+        assert run("eval", "--data", work["data"], "--model", work["fair"], "--out", first) == 0
+        doc = read_json(first / "manifest.json")
+        doc["config"][key] = value
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert run("replay", "--manifest", bad, "--out", tmp_path / "again") == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("epochs", "many"), ("seed", "x")])
+    def test_train_manifest_bad_value_is_usage_error(self, work, tmp_path, key, value,
+                                                     capsys):
+        doc = read_json(work["root"] / "fair" / "manifest.json")
+        doc["config"][key] = value
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert run("replay", "--manifest", bad, "--out", tmp_path / "again") == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_fairod_train_manifest_without_base_is_data_error(self, work, tmp_path, capsys):
+        doc = read_json(work["root"] / "fair" / "manifest.json")
+        del doc["inputs"]["base"]
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert run("replay", "--manifest", bad, "--out", tmp_path / "again") == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad manifest" in err and "inputs lack base" in err
+        # the base variant reads no base model
+        base_manifest = work["root"] / "base" / "manifest.json"
+        assert "base" not in read_json(base_manifest)["inputs"]
+        assert run("replay", "--manifest", base_manifest, "--out", tmp_path / "base") == 0
+        assert (tmp_path / "base" / "fit.json").read_bytes() == work["base"].read_bytes()
+
 
 # a non-default value per config key: (config-file text, flag arguments)
 KEY_VALUES = {

@@ -1,8 +1,11 @@
 """Loss tests.  The group-fidelity loss is checked against a test-local
-discrete-rank oracle (sorting and exact DCG arithmetic, no sigmoids), and
-correlations against numpy's corrcoef."""
+discrete-rank oracle (sorting and exact DCG arithmetic, no sigmoids), the
+blocked smoothed-rank node against the dense pair-matrix node it replaced
+and a per-pair oracle with exact row sums, and correlations against
+numpy's corrcoef."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +20,7 @@ from fairod.losses import (
     DegenerateInputWarning,
     LossWeights,
     TotalLossSpec,
+    _pairwise_rank_graph,
     idcg_group,
     loss_base,
     loss_gf,
@@ -26,7 +30,7 @@ from fairod.losses import (
     smooth_rank,
     total_loss,
 )
-from fairod.numgrad import eval_loss_grad_components, finite_diff_grad
+from fairod.numgrad import as_var, eval_loss_grad_components, finite_diff_grad, leaf
 
 
 def groups_of(pv):
@@ -184,6 +188,123 @@ def test_smooth_rank_matches_discrete_when_sharp(rng):
     for i in range(12):
         discrete = 1 + int(np.sum(s > s[i]))
         assert smooth_rank(s, i, c=200.0) == pytest.approx(discrete, abs=5e-3)
+
+
+# -- the smoothed-rank node against its oracles -----------------------------------------
+
+
+def dense_rank_node(s, c):
+    """The dense smoothed-rank node the blocked one replaced: one (n,n)
+    pair matrix.  Returns the ranks and the pullback of an upstream g."""
+    sig = s[None, :] - s[:, None]  # [i,k] = s_k - s_i
+    sig *= 0.5 * c
+    np.tanh(sig, out=sig)
+    sig *= 0.5
+    sig += 0.5
+    ranks = sig.sum(axis=1) + 0.5
+
+    def vjp(g):
+        d = 1.0 - sig
+        d *= sig
+        d *= c
+        return g @ d - g * d.sum(axis=1)
+
+    return ranks, vjp
+
+
+def exact_rank_node(s, c):
+    """Every pair evaluated on its own, in the overflow-free exponential
+    form (no tanh, no antisymmetry), each row summed with math.fsum.
+    ranks_i = 0.5 + sum_k sigma(z_ik) and, D being symmetric, the pullback
+    is out_k = sum_i (g_i - g_k) D_ik, with z_ik = c (s_k - s_i) and
+    D = c sigma(z) (1 - sigma(z)) = c e / (1 + e)^2, e = exp(-|z|)."""
+    def row(i):
+        z = c * (s - s[i])
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)), c * e / (1.0 + e) ** 2
+
+    ranks = np.array([0.5 + math.fsum(row(i)[0]) for i in range(s.size)])
+
+    def vjp(g):
+        return np.array([math.fsum((g - g[k]) * row(k)[1]) for k in range(s.size)])
+
+    return ranks, vjp
+
+
+def blocked_rank_node(s, c):
+    """The program's node, with its pullback taken through the tape."""
+    su = leaf(s, "s")
+    node = _pairwise_rank_graph(su, c)
+
+    def vjp(g):
+        (node * as_var(g)).sum().backward()
+        return su.grad
+
+    return node.value, vjp
+
+
+def unit_scores(rng, n):
+    """Unit-scaled scores with some exact ties, as the loss feeds the node."""
+    s = np.round(rng.normal(size=n), 2)
+    return (s - s.mean()) / s.std() if n > 1 and s.std() > 0 else s
+
+
+def assert_vjp_close(got, want, g, c):
+    # relative to the result, with one unsaturated pair's weight (c/4) max|g|
+    # as the floor: a saturated pair's D lies below the rounding of 1 - t^2
+    scale = np.abs(want).max() + 0.25 * c * np.abs(g).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 2000])
+def test_rank_node_matches_dense_and_exact_oracles(n):
+    rng = np.random.default_rng(n)
+    s, g, c = unit_scores(rng, n), rng.normal(size=n), 50.0
+    ranks, vjp = blocked_rank_node(s, c)
+    got = vjp(g)
+    for oracle in (dense_rank_node, exact_rank_node):
+        want_ranks, want_vjp = oracle(s.copy(), c)
+        assert np.abs(ranks - want_ranks).max() <= 2e-15 * n
+        assert_vjp_close(got, want_vjp(g), g, c)
+
+
+@pytest.mark.parametrize("n", [65, 129, 200])
+def test_rank_vjp_matches_central_differences_across_blocks(n):
+    rng = np.random.default_rng(n)
+    s, g, c, h = unit_scores(rng, n) * 0.2, rng.normal(size=n), 50.0, 1e-6
+    _, vjp = blocked_rank_node(s, c)
+    got = vjp(g)
+    directions = [np.eye(n)[j] for j in (0, 63, 64, n - 1)] + [rng.normal(size=n)]
+    for v in directions:
+        up = blocked_rank_node(s + h * v, c)[0] @ g
+        down = blocked_rank_node(s - h * v, c)[0] @ g
+        fd = (up - down) / (2.0 * h)
+        assert got @ v == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@given(st.integers(1, 200), st.integers(0, 10 ** 6))
+def test_rank_node_is_permutation_equivariant(n, seed):
+    rng = np.random.default_rng(seed)
+    s, g, c = unit_scores(rng, n), rng.normal(size=n), 50.0
+    p = rng.permutation(n)
+    ranks, vjp = blocked_rank_node(s, c)
+    ranks_p, vjp_p = blocked_rank_node(s[p], c)
+    assert np.abs(ranks_p - ranks[p]).max() <= 2e-15 * n
+    assert_vjp_close(vjp_p(g[p]), vjp(g)[p], g, c)
+
+
+def test_rank_node_memory_is_linear_in_group_size():
+    # one forward pass and VJP at n = 4000; a (n,n) float64 matrix alone is 122 MiB
+    rng = np.random.default_rng(0)
+    n = 4000
+    s, g = unit_scores(rng, n), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        blocked_rank_node(s, 50.0)[1](g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # -- idcg ---------------------------------------------------------------------------
