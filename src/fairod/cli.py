@@ -80,6 +80,17 @@ def _as_batch_size(raw: str) -> int | None:
     return None if low in ("none", "") else int(raw)
 
 
+def _as_spread(raw: str) -> float | None:
+    low = raw.strip().lower()
+    return None if low in ("none", "") else float(raw)
+
+
+def _as_synth_name(raw: str) -> str:
+    if raw not in ("synth1", "synth2"):
+        raise UsageError(f"unknown generator {raw!r} (known: synth1, synth2)")
+    return raw
+
+
 def _as_float_list(raw: str) -> tuple[float, ...]:
     vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     if not vals:
@@ -103,6 +114,8 @@ _PARSERS = {
     "standardize": _as_bool, "verify_treatment_parity": _as_bool, "base_seeds": int,
     "alpha_grid": _as_float_list, "gamma_grid": _as_float_list, "jobs": int, "max_n": int,
     "seed": int,
+    # synth has flags of its own (see build_parser); these parse its manifests
+    "name": _as_synth_name, "major": int, "minor": int, "outliers": int, "x1_std": _as_spread,
 }
 _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)} | {
     "standardize": False, "verify_treatment_parity": False, "base_seeds": 5,

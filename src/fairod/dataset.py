@@ -233,10 +233,6 @@ def _floor_count(rate: float, n: int) -> int:
     return int(math.floor(rate * n + 1e-9))
 
 
-def _ceil_count(rate: float, n: int) -> int:
-    return int(math.ceil(round(rate * n, 9)))
-
-
 def stratified_downsample(ds: LabeledDataset, group_ratio: float = 4.0,
                           outlier_rate: float = 0.05, seed: int = 0) -> LabeledDataset:
     """Largest subsample with majority:minority = group_ratio and the same

@@ -29,21 +29,26 @@ def _rank_order(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))
 
 
-def flag_top_fraction(scores: np.ndarray, f: float) -> np.ndarray:
-    """Boolean flags for the global top ceil(f*N) rows by score."""
+def _top_flags(order: np.ndarray, f: float) -> np.ndarray:
+    """Boolean flags for the first ceil(f*N) rows of a ranking."""
     if not (0.0 < f < 1.0):
         raise ValueError("flag fraction f must be in (0,1)")
-    scores = np.asarray(scores, dtype=np.float64)
-    k = ceil_frac(f, scores.size)
-    flags = np.zeros(scores.size, dtype=bool)
-    flags[_rank_order(scores)[:k]] = True
+    flags = np.zeros(order.size, dtype=bool)
+    flags[order[:ceil_frac(f, order.size)]] = True
     return flags
+
+
+def flag_top_fraction(scores: np.ndarray, f: float) -> np.ndarray:
+    """Boolean flags for the global top ceil(f*N) rows by score."""
+    return _top_flags(_rank_order(scores), f)
 
 
 @dataclass
 class ScoreSet:
     """Scores plus everything rank-derived: flags for the top ceil(f*N),
-    the global ranking, and each group's internal ranking."""
+    the global ranking, and each group's internal ranking.  All three read
+    one sort; a group's ranking is the global one filtered to its rows,
+    which keeps ties in ascending row order."""
 
     scores: np.ndarray
     f: float
@@ -54,13 +59,12 @@ class ScoreSet:
     @classmethod
     def from_scores(cls, scores: np.ndarray, pv: np.ndarray, f: float) -> "ScoreSet":
         scores = np.asarray(scores, dtype=np.float64)
-        flags = flag_top_fraction(scores, f)
+        pv = np.asarray(pv)
         order = _rank_order(scores)
-        group_orders = {}
-        for g in np.unique(np.asarray(pv)):
-            idx = np.flatnonzero(pv == g)
-            group_orders[int(g)] = idx[_rank_order(scores[idx])]
-        return cls(scores=scores, f=f, flags=flags, order=order, group_orders=group_orders)
+        ranked_pv = pv[order]
+        group_orders = {int(g): order[ranked_pv == g] for g in np.unique(pv)}
+        return cls(scores=scores, f=f, flags=_top_flags(order, f), order=order,
+                   group_orders=group_orders)
 
 
 def fairness_metric(flags: np.ndarray, pv: np.ndarray) -> float | None:
@@ -106,30 +110,43 @@ def harmonic_mean(values: list[float], literal: bool = False) -> float:
     return (1.0 if literal else float(len(values))) / s
 
 
+def _fidelity(ndcgs: list[float | None]) -> float | None:
+    """Harmonic mean of per-group NDCG; None if any group is degenerate."""
+    return None if any(v is None for v in ndcgs) else harmonic_mean(ndcgs)
+
+
 def group_fidelity(scoreset: ScoreSet, base: BaseScoreSet, groups: GroupView) -> float | None:
     """Harmonic mean of per-group NDCG between the model ranking and base
-    relevances; None as soon as any group is degenerate."""
+    relevances; None if any group is degenerate."""
     if len(groups) < 2:
         raise ValueError("group_fidelity needs two or more groups")
-    ndcgs = []
-    for g in sorted(groups):
-        value = ndcg_group(scoreset.scores, base.normalized, groups[g])
-        if value is None:
-            return None
-        ndcgs.append(value)
-    return harmonic_mean(ndcgs)
+    return _fidelity([ndcg_group(scoreset.scores, base.normalized, groups[g])
+                      for g in sorted(groups)])
+
+
+def _topk_jaccard(order_a: np.ndarray, order_b: np.ndarray, k: int) -> float:
+    n = order_a.size
+    if order_b.size != n:
+        raise ValueError("score sets cover different datasets")
+    if not (1 <= k <= n):
+        raise ValueError(f"k must be in [1, {n}]")
+    top_a = set(order_a[:k].tolist())
+    top_b = set(order_b[:k].tolist())
+    return len(top_a & top_b) / len(top_a | top_b)
 
 
 def topk_rank_agreement(scoreset_a: ScoreSet, scoreset_b: ScoreSet, k: int) -> float:
     """Jaccard similarity of the two top-k index sets."""
-    n = scoreset_a.scores.size
-    if scoreset_b.scores.size != n:
-        raise ValueError("score sets cover different datasets")
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in [1, {n}]")
-    top_a = set(scoreset_a.order[:k].tolist())
-    top_b = set(scoreset_b.order[:k].tolist())
-    return len(top_a & top_b) / len(top_a | top_b)
+    return _topk_jaccard(scoreset_a.order, scoreset_b.order, k)
+
+
+def _ranked_ap(ranked: np.ndarray) -> float | None:
+    """Average precision of labels already in rank order."""
+    if ranked.sum() == 0:
+        return None
+    hits = np.cumsum(ranked)
+    ranks = np.arange(1, ranked.size + 1)
+    return float(np.mean((hits / ranks)[ranked == 1]))
 
 
 def average_precision(scores_in_group: np.ndarray, labels_in_group: np.ndarray) -> float | None:
@@ -139,26 +156,28 @@ def average_precision(scores_in_group: np.ndarray, labels_in_group: np.ndarray) 
     y = np.asarray(labels_in_group)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
-    if y.sum() == 0:
+    return _ranked_ap(y[_rank_order(s)])
+
+
+def _group_ap(scoreset: ScoreSet, labels: np.ndarray) -> dict[int, float | None]:
+    return {g: _ranked_ap(labels[ranked]) for g, ranked in sorted(scoreset.group_orders.items())}
+
+
+def _ratio(per_group: dict[int, float | None], what: str) -> float | None:
+    """Group 0's value over group 1's; None when either is None or the
+    minority value is zero (ratio undefined, reported not crashed)."""
+    if 0 not in per_group or 1 not in per_group:
+        raise ValueError(f"{what} needs groups 0 and 1")
+    if per_group[0] is None or per_group[1] is None or per_group[1] == 0.0:
         return None
-    ranked = y[_rank_order(s)]
-    hits = np.cumsum(ranked)
-    ranks = np.arange(1, s.size + 1)
-    return float(np.mean((hits / ranks)[ranked == 1]))
+    return per_group[0] / per_group[1]
 
 
 def ap_ratio(scoreset: ScoreSet, ds: LabeledDataset) -> float | None:
     """Majority AP over minority AP; ideal is 1.  None if a group lacks positives."""
     if ds.labels is None:
         raise ValueError("ap_ratio requires labels")
-    view = group_view(ds)
-    if 0 not in view or 1 not in view:
-        raise ValueError("ap_ratio needs groups 0 and 1")
-    ap_a = average_precision(scoreset.scores[view[0]], ds.labels[view[0]])
-    ap_b = average_precision(scoreset.scores[view[1]], ds.labels[view[1]])
-    if ap_a is None or ap_b is None:
-        return None
-    return ap_a / ap_b
+    return _ratio(_group_ap(scoreset, ds.labels), "ap_ratio")
 
 
 def p_at_k(scoreset: ScoreSet, ds: LabeledDataset, f: float) -> dict[int, float]:
@@ -174,16 +193,30 @@ def p_at_k(scoreset: ScoreSet, ds: LabeledDataset, f: float) -> dict[int, float]
 
 def p_at_k_ratio(scoreset: ScoreSet, ds: LabeledDataset, f: float) -> float | None:
     """Ratio of group precisions at their own top fractions; None when the
-    minority precision is zero (ratio undefined, reported not crashed)."""
-    per_group = p_at_k(scoreset, ds, f)
-    if 0 not in per_group or 1 not in per_group:
-        raise ValueError("p_at_k_ratio needs groups 0 and 1")
-    if per_group[1] == 0.0:
-        return None
-    return per_group[0] / per_group[1]
+    minority precision is zero."""
+    return _ratio(p_at_k(scoreset, ds, f), "p_at_k_ratio")
 
 
 # -- report ------------------------------------------------------------------------------
+
+
+def _real(v) -> str:
+    return "" if v is None else repr(float(v))
+
+
+def _count(v) -> str:
+    return "" if v is None else str(v)
+
+
+# Each report field is declared once here; JSON and CSV are derived from these.
+# Per-group fields are dicts keyed by group id, written as `<column>_<g>` in CSV.
+_SCALAR_FIELDS = ("fairness", "group_fidelity", "topk_agreement", "ap_ratio",
+                  "p_at_k_ratio", "flag_fraction")
+_GROUP_FIELDS = (  # (attribute, CSV column, CSV cell)
+    ("ndcg", "ndcg", _real), ("ap", "ap", _real), ("p_at_k", "p_at_k", _real),
+    ("flag_rates", "flag_rate", _real), ("base_rates", "base_rate", _real),
+    ("group_sizes", "n", _count),
+)
 
 
 @dataclass
@@ -207,47 +240,17 @@ class EvalReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        def keyed(d):
-            return {str(k): v for k, v in d.items()}
-
-        return {
-            "fairness": self.fairness,
-            "group_fidelity": self.group_fidelity,
-            "ndcg": keyed(self.ndcg),
-            "topk_agreement": self.topk_agreement,
-            "ap": keyed(self.ap),
-            "ap_ratio": self.ap_ratio,
-            "p_at_k": keyed(self.p_at_k),
-            "p_at_k_ratio": self.p_at_k_ratio,
-            "flag_rates": keyed(self.flag_rates),
-            "base_rates": keyed(self.base_rates),
-            "group_sizes": keyed(self.group_sizes),
-            "flag_fraction": self.flag_fraction,
-            "config": self.config,
-            "notes": self.notes,
-        }
+        doc = {name: getattr(self, name) for name in _SCALAR_FIELDS}
+        for name, _, _ in _GROUP_FIELDS:
+            doc[name] = {str(g): v for g, v in getattr(self, name).items()}
+        return doc | {"config": self.config, "notes": self.notes}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvalReport":
-        def unkeyed(d):
-            return {int(k): v for k, v in d.items()}
-
-        return cls(
-            fairness=doc["fairness"],
-            group_fidelity=doc["group_fidelity"],
-            ndcg=unkeyed(doc["ndcg"]),
-            topk_agreement=doc["topk_agreement"],
-            ap=unkeyed(doc["ap"]),
-            ap_ratio=doc["ap_ratio"],
-            p_at_k=unkeyed(doc["p_at_k"]),
-            p_at_k_ratio=doc["p_at_k_ratio"],
-            flag_rates=unkeyed(doc["flag_rates"]),
-            base_rates=unkeyed(doc["base_rates"]),
-            group_sizes=unkeyed(doc["group_sizes"]),
-            flag_fraction=doc["flag_fraction"],
-            config=doc.get("config", {}),
-            notes=doc.get("notes", []),
-        )
+        per_group = {name: {int(g): v for g, v in doc[name].items()}
+                     for name, _, _ in _GROUP_FIELDS}
+        return cls(**{name: doc[name] for name in _SCALAR_FIELDS}, **per_group,
+                   config=doc.get("config", {}), notes=doc.get("notes", []))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -258,25 +261,13 @@ class EvalReport:
 
     @staticmethod
     def csv_header(group_ids: list[int]) -> list[str]:
-        cols = ["fairness", "group_fidelity", "topk_agreement", "ap_ratio",
-                "p_at_k_ratio", "flag_fraction"]
-        for g in group_ids:
-            cols += [f"ndcg_{g}", f"ap_{g}", f"p_at_k_{g}", f"flag_rate_{g}",
-                     f"base_rate_{g}", f"n_{g}"]
-        return cols
+        return list(_SCALAR_FIELDS) + [f"{column}_{g}" for g in group_ids
+                                       for _, column, _ in _GROUP_FIELDS]
 
     def to_csv_row(self, group_ids: list[int]) -> list[str]:
-        def cell(v):
-            return "" if v is None else repr(float(v))
-
-        row = [cell(self.fairness), cell(self.group_fidelity), cell(self.topk_agreement),
-               cell(self.ap_ratio), cell(self.p_at_k_ratio), cell(self.flag_fraction)]
-        for g in group_ids:
-            row += [cell(self.ndcg.get(g)), cell(self.ap.get(g)),
-                    cell(self.p_at_k.get(g)), cell(self.flag_rates.get(g)),
-                    cell(self.base_rates.get(g)),
-                    "" if g not in self.group_sizes else str(self.group_sizes[g])]
-        return row
+        return [_real(getattr(self, name)) for name in _SCALAR_FIELDS] + [
+            cell(getattr(self, name).get(g)) for g in group_ids
+            for name, _, cell in _GROUP_FIELDS]
 
 
 def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
@@ -285,7 +276,8 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
                  config: dict | None = None) -> EvalReport:
     """Assemble all metrics.  Rank-fidelity measures (NDCG, GroupFidelity,
     top-k agreement) need `base`; supervised measures need ds.labels; both
-    degrade to None with a note when their inputs are missing."""
+    degrade to None with a note when their inputs are missing.  The scores
+    are ranked once; flags, group rankings, AP and P@k all read that ranking."""
     scores = np.asarray(scores, dtype=np.float64)
     groups = group_view(ds)
     gids = sorted(groups)
@@ -305,11 +297,9 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
             ndcg[g] = ndcg_group(scores, base.normalized, groups[g])
             if ndcg[g] is None:
                 notes.append(f"ndcg degenerate for group {g}: all-zero relevances")
-        gf = group_fidelity(ss, base, groups)
-        if base_scores is None:
-            base_scores = base.raw
-        base_ss = ScoreSet.from_scores(np.asarray(base_scores, dtype=np.float64), ds.pv, f)
-        topk = topk_rank_agreement(ss, base_ss, ceil_frac(f, ds.n))
+        gf = _fidelity([ndcg[g] for g in gids])
+        base_order = _rank_order(base.raw if base_scores is None else base_scores)
+        topk = _topk_jaccard(ss.order, base_order, ceil_frac(f, ds.n))
     else:
         notes.append("rank-fidelity metrics skipped: no base scores supplied")
 
@@ -319,15 +309,15 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
     patkr = None
     base_rates: dict[int, float | None] = {g: None for g in gids}
     if ds.labels is not None:
+        ap = _group_ap(ss, ds.labels)
         for g in gids:
-            ap[g] = average_precision(scores[groups[g]], ds.labels[groups[g]])
             if ap[g] is None:
                 notes.append(f"average precision degenerate for group {g}: no positives")
             base_rates[g] = float(ds.labels[groups[g]].mean())
         if set(gids) >= {0, 1}:
-            apr = ap_ratio(ss, ds)
-            patk = dict(p_at_k(ss, ds, f))
-            patkr = p_at_k_ratio(ss, ds, f)
+            apr = _ratio(ap, "ap_ratio")
+            patk = p_at_k(ss, ds, f)
+            patkr = _ratio(patk, "p_at_k_ratio")
             if patkr is None:
                 notes.append("p_at_k_ratio degenerate: minority precision is zero")
     else:

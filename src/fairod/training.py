@@ -9,7 +9,6 @@ membership can never leak into scores at evaluation time.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -68,7 +67,6 @@ class FitResult:
     trace: dict[str, list[float]]
     scores: np.ndarray | None
     config: TrainConfig
-    wall_clock: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,7 +121,6 @@ def _batch_groups(pv_batch: np.ndarray) -> GroupView:
 
 def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
              base_set: BaseScoreSet | None) -> FitResult:
-    started = time.perf_counter()
     cfg_run = replace(cfg, variant=variant)
     X = ds.features
     params = init_params(AEConfig.for_dim(ds.d, seed=cfg.seed)).to_dict()
@@ -163,8 +160,7 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
     scores = score(trained, X)
     if not np.all(np.isfinite(scores)):
         raise TrainingError(f"{variant} fit produced non-finite scores")
-    return FitResult(params=trained, trace=trace, scores=scores, config=cfg_run,
-                     wall_clock=time.perf_counter() - started)
+    return FitResult(params=trained, trace=trace, scores=scores, config=cfg_run)
 
 
 def fit_base(ds: LabeledDataset, cfg: TrainConfig) -> FitResult:

@@ -388,6 +388,30 @@ class TestReplay:
         assert run("replay", "--manifest", bad, "--out", tmp_path / "again") == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("name", "synth9"), ("major", "x"),
+                                           ("outliers", 2.5), ("x1_std", "wide")])
+    def test_synth_manifest_bad_value_is_usage_error(self, work, tmp_path, key, value,
+                                                     capsys):
+        doc = read_json(work["root"] / "data" / "manifest.json")
+        doc["config"][key] = value
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert run("replay", "--manifest", bad, "--out", tmp_path / "again") == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "again" / "dataset.csv").exists()
+
+    def test_synth_replay_is_byte_identical(self, work, tmp_path):
+        manifest = work["root"] / "data" / "manifest.json"
+        assert run("replay", "--manifest", manifest, "--out", tmp_path / "s1") == 0
+        assert (tmp_path / "s1" / "dataset.csv").read_bytes() == work["data"].read_bytes()
+        # synth2 with a spread override: x1_std goes through its float parser
+        assert run("synth", "synth2", "--major", 40, "--minor", 10, "--outliers", 4,
+                   "--seed", 2, "--x1-std", 1.2, "--out", tmp_path / "s2") == 0
+        assert run("replay", "--manifest", tmp_path / "s2" / "manifest.json",
+                   "--out", tmp_path / "s2again") == 0
+        assert ((tmp_path / "s2again" / "dataset.csv").read_bytes()
+                == (tmp_path / "s2" / "dataset.csv").read_bytes())
+
     def test_fairod_train_manifest_without_base_is_data_error(self, work, tmp_path, capsys):
         doc = read_json(work["root"] / "fair" / "manifest.json")
         del doc["inputs"]["base"]

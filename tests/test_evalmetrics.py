@@ -1,15 +1,19 @@
 import json
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairod import evalmetrics
 from fairod.dataset import LabeledDataset, group_view
 from fairod.evalmetrics import (
     EvalReport,
     ScoreSet,
+    _rank_order,
     ap_ratio,
     average_precision,
     build_report,
@@ -362,6 +366,9 @@ def test_build_report_full_inputs():
     assert rep.flag_fraction == 0.1
     assert rep.config == {"variant": "fairod"}
     assert sum(rep.flag_rates[g] * rep.group_sizes[g] for g in (0, 1)) == 6
+    for wrong_size in (base_scores[:-1], np.append(base_scores, 0.5)):
+        with pytest.raises(ValueError, match="different datasets"):
+            build_report(scores, ds, 0.1, base=base, base_scores=wrong_size)
 
 
 def test_build_report_without_base_or_labels_degrades_with_notes():
@@ -384,6 +391,21 @@ def test_eval_report_json_round_trip():
     assert back == rep
     doc = json.loads(rep.to_json())
     assert set(doc["ndcg"]) == {"0", "1"}
+    assert set(doc) == {"fairness", "group_fidelity", "ndcg", "topk_agreement", "ap",
+                        "ap_ratio", "p_at_k", "p_at_k_ratio", "flag_rates", "base_rates",
+                        "group_sizes", "flag_fraction", "config", "notes"}
+
+    bare = build_report(scores, LabeledDataset(features=ds.features, pv=ds.pv), 0.1)
+    assert bare.ap_ratio is None and bare.ndcg == {0: None, 1: None}
+    assert EvalReport.from_json(bare.to_json()) == bare
+
+    pv3 = np.where(np.arange(ds.n) % 7 == 0, 2, ds.pv)
+    ds3 = make_ds(ds.n, pv3, ds.labels)
+    base3 = BaseScoreSet.from_scores(base_scores, group_view(ds3))
+    rep3 = build_report(scores, ds3, 0.1, base=base3, base_scores=base_scores)
+    back3 = EvalReport.from_json(rep3.to_json())
+    assert back3 == rep3
+    assert set(back3.ndcg) == set(back3.group_sizes) == {0, 1, 2}
 
 
 def test_eval_report_json_preserves_degenerate_none():
@@ -402,7 +424,77 @@ def test_eval_report_csv_row_matches_header():
     lookup = dict(zip(header, row))
     assert float(lookup["fairness"]) == rep.fairness
     assert lookup["n_0"] == "30"
+    assert lookup["flag_rate_1"] == repr(rep.flag_rates[1])
+    assert EvalReport.csv_header([0, 1, 2]) == [
+        "fairness", "group_fidelity", "topk_agreement", "ap_ratio", "p_at_k_ratio",
+        "flag_fraction",
+        "ndcg_0", "ap_0", "p_at_k_0", "flag_rate_0", "base_rate_0", "n_0",
+        "ndcg_1", "ap_1", "p_at_k_1", "flag_rate_1", "base_rate_1", "n_1",
+        "ndcg_2", "ap_2", "p_at_k_2", "flag_rate_2", "base_rate_2", "n_2",
+    ]
+    # a group the report does not hold gets empty cells
+    assert rep.to_csv_row([0, 1, 2]) == row + [""] * 6
 
     bare = build_report(scores, LabeledDataset(features=ds.features, pv=ds.pv), 0.1)
     row2 = bare.to_csv_row([0, 1])
     assert row2[dict(zip(header, range(len(header))))["ap_ratio"]] == ""
+
+
+def test_report_ranks_each_vector_once_and_scores_each_group_once(monkeypatch):
+    calls = Counter()
+    for name in ("_rank_order", "ndcg_group"):
+        def counted(*args, _fn=getattr(evalmetrics, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evalmetrics, name, counted)
+    scores, ds, base, base_scores = full_report_fixture()
+    ScoreSet.from_scores(scores, ds.pv, 0.1)
+    assert calls == {"_rank_order": 1}
+    calls.clear()
+    build_report(scores, ds, 0.1, base=base, base_scores=base_scores)
+    # one sort each for the model and the base scores, one NDCG per group
+    assert calls == {"_rank_order": 2, "ndcg_group": 2}
+
+
+@given(st.data())
+def test_report_matches_per_group_definitions_under_heavy_ties(data):
+    n_groups = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(n_groups, 150))
+    levels = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4,
+                                         unique=True)))
+
+    def column(hi):
+        return np.array(data.draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)))
+
+    scores = levels[column(levels.size - 1)]
+    base_raw = levels[column(levels.size - 1)]
+    pv = column(n_groups - 1)
+    pv[:n_groups] = np.arange(n_groups)
+    labels = column(1)
+    f = data.draw(st.floats(0.01, 0.99))
+    ds = make_ds(n, pv, labels)
+    groups = group_view(ds)
+
+    ss = ScoreSet.from_scores(scores, pv, f)
+    assert np.array_equal(ss.flags, flag_top_fraction(scores, f))
+    assert sorted(ss.group_orders) == sorted(groups)
+    for g, rows in groups.items():
+        assert np.array_equal(ss.group_orders[g], rows[_rank_order(scores[rows])])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        base = BaseScoreSet.from_scores(base_raw, groups)
+        rep = build_report(scores, ds, f, base=base)
+        ndcg = {g: ndcg_group(scores, base.normalized, rows) for g, rows in groups.items()}
+    assert rep.ndcg == ndcg
+    values = [ndcg[g] for g in sorted(groups)]
+    assert rep.group_fidelity == (None if None in values else harmonic_mean(values))
+    ap = {g: average_precision(scores[rows], labels[rows]) for g, rows in groups.items()}
+    assert rep.ap == ap
+    assert rep.ap_ratio == (None if None in (ap[0], ap[1]) else ap[0] / ap[1])
+    precision = {}
+    for g, rows in groups.items():
+        k = ceil_frac(f, rows.size)
+        precision[g] = float(labels[rows[_rank_order(scores[rows])][:k]].sum() / k)
+    assert rep.p_at_k == precision
+    assert rep.p_at_k_ratio == (None if precision[1] == 0.0 else precision[0] / precision[1])
