@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Iterator
 
 MAX_N = 14
@@ -91,12 +93,10 @@ class FinitePopulation:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
+    """Every `parts`-tuple of nonnegative ints summing to `total`, in
+    lexicographic order: one tuple per nondecreasing run of partial sums."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 def enumerate_populations(n: int) -> Iterator[FinitePopulation]:
@@ -189,38 +189,63 @@ def _claim2_conclusion(pop: FinitePopulation) -> bool:
     return all(group_beats_base_rate(pop, v) for v in GROUPS)
 
 
-def verify_claim1(max_n: int) -> ClaimVerdict:
-    """Check the exists-a-group conclusion on every population up to max_n,
-    and record one premise-necessity witness: a population that keeps
-    effectiveness, drops parity, and has no group beating its base rate."""
+# Per claim: the premises as (count key, predicate) in funnel order, where a
+# table is counted under the first premise it fails; the conclusion; and the
+# premise whose failures may supply the witness, with the witness test and
+# what the witness records.
+_CLAIMS = {
+    "claim1": (
+        (("effectiveness_failed", effectiveness_holds), ("sp_failed", sp_holds)),
+        _claim1_conclusion,
+        "sp_failed",
+        lambda pop: (not _claim1_conclusion(pop)
+                     and all(pop.flagged(v) > 0 for v in GROUPS)),
+        {"dropped_premise": "statistical_parity",
+         "note": "effective yet no flagged group beats its base rate"},
+    ),
+    "claim2": (
+        (("effectiveness_failed", effectiveness_holds), ("sp_failed", sp_holds),
+         ("ratio_failed", ratio_preserved)),
+        _claim2_conclusion,
+        "ratio_failed",
+        lambda pop: any(group_precision_equals_base_rate(pop, v) for v in GROUPS),
+        {"dropped_premise": "ratio_preservation",
+         "note": "parity and effectiveness alone leave one group's precision stuck "
+                 "at its base rate"},
+    ),
+}
+
+
+def _verify(claim: str, max_n: int) -> ClaimVerdict:
     if not (2 <= max_n <= MAX_N):
         raise ValueError(f"max_n must be in [2, {MAX_N}]")
-    counts = {"checked": 0, "effectiveness_failed": 0, "sp_failed": 0, "premises_met": 0}
+    premises, conclusion, witness_key, witness_test, record = _CLAIMS[claim]
+    counts = {"checked": 0} | {key: 0 for key, _ in premises} | {"premises_met": 0}
     counterexamples: list[dict] = []
     witness = None
     for n in range(2, max_n + 1):
         for pop in enumerate_populations(n):
             counts["checked"] += 1
-            if not effectiveness_holds(pop):
-                counts["effectiveness_failed"] += 1
-                continue
-            if not sp_holds(pop):
-                counts["sp_failed"] += 1
-                if (witness is None and not _claim1_conclusion(pop)
-                        and all(pop.flagged(v) > 0 for v in GROUPS)):
-                    witness = {
-                        "dropped_premise": "statistical_parity",
-                        "population": pop.to_dict(),
-                        "note": "effective yet no flagged group beats its base rate",
-                    }
-                continue
-            counts["premises_met"] += 1
-            if not _claim1_conclusion(pop):
-                counterexamples.append(pop.to_dict())
-    return ClaimVerdict(claim="claim1", max_n=max_n,
-                        populations_checked=counts["checked"],
+            for key, holds in premises:
+                if not holds(pop):
+                    counts[key] += 1
+                    if witness is None and key == witness_key and witness_test(pop):
+                        witness = record | {"population": pop.to_dict()}
+                    break
+            else:
+                counts["premises_met"] += 1
+                if not conclusion(pop):
+                    counterexamples.append(pop.to_dict())
+    return ClaimVerdict(claim=claim, max_n=max_n, populations_checked=counts["checked"],
                         premise_counts=counts, counterexamples=counterexamples,
                         witness=witness)
+
+
+def verify_claim1(max_n: int) -> ClaimVerdict:
+    """Check the exists-a-group conclusion on every population up to max_n,
+    and record one premise-necessity witness: a population that keeps
+    effectiveness, drops parity, and has no group beating its base rate."""
+    return _verify("claim1", max_n)
 
 
 def verify_claim2(max_n: int) -> ClaimVerdict:
@@ -228,36 +253,4 @@ def verify_claim2(max_n: int) -> ClaimVerdict:
     and record one premise-necessity witness: parity plus effectiveness
     without ratio preservation, where some group's precision only equals
     its base rate."""
-    if not (2 <= max_n <= MAX_N):
-        raise ValueError(f"max_n must be in [2, {MAX_N}]")
-    counts = {"checked": 0, "effectiveness_failed": 0, "sp_failed": 0,
-              "ratio_failed": 0, "premises_met": 0}
-    counterexamples: list[dict] = []
-    witness = None
-    for n in range(2, max_n + 1):
-        for pop in enumerate_populations(n):
-            counts["checked"] += 1
-            if not effectiveness_holds(pop):
-                counts["effectiveness_failed"] += 1
-                continue
-            if not sp_holds(pop):
-                counts["sp_failed"] += 1
-                continue
-            if not ratio_preserved(pop):
-                counts["ratio_failed"] += 1
-                if (witness is None
-                        and any(group_precision_equals_base_rate(pop, v) for v in GROUPS)):
-                    witness = {
-                        "dropped_premise": "ratio_preservation",
-                        "population": pop.to_dict(),
-                        "note": "parity and effectiveness alone leave one group's "
-                                "precision stuck at its base rate",
-                    }
-                continue
-            counts["premises_met"] += 1
-            if not _claim2_conclusion(pop):
-                counterexamples.append(pop.to_dict())
-    return ClaimVerdict(claim="claim2", max_n=max_n,
-                        populations_checked=counts["checked"],
-                        premise_counts=counts, counterexamples=counterexamples,
-                        witness=witness)
+    return _verify("claim2", max_n)

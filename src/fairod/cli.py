@@ -389,12 +389,9 @@ def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> int:
     def cell(v):
         return "" if v is None else repr(float(v))
 
-    rows = []
-    for res in results:
-        s = res.summary_dict()
-        rows.append([repr(float(s["alpha"])), repr(float(s["gamma"])), s["variant"],
-                     cell(s["fairness"]), cell(s["group_fidelity"]),
-                     s["error"] or "", "1" if res is selected else "0"])
+    rows = [[repr(float(res.config.alpha)), repr(float(res.config.gamma)),
+             res.config.variant, cell(res.fairness), cell(res.group_fidelity),
+             res.error or "", "1" if res is selected else "0"] for res in results]
     _write_csv(out_dir / "grid.csv",
                ["alpha", "gamma", "variant", "fairness", "group_fidelity",
                 "error", "selected"], rows)

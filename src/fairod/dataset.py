@@ -46,7 +46,6 @@ class LabeledDataset:
     features: np.ndarray
     pv: np.ndarray
     labels: np.ndarray | None = None
-    name: str = "dataset"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -131,13 +130,10 @@ def _map_pv_tokens(tokens: list[str]) -> dict[str, int]:
     return mapping
 
 
-def load_csv(path, pv_column: str = "pv", label_column: str | None = "auto",
-             name: str | None = None) -> LabeledDataset:
-    """Read a dataset CSV.
-
-    label_column="auto" picks up a column literally named "label" when
-    present; an explicitly named column must exist.  pv tokens are mapped to
-    ids with the most frequent token forced to 0 (majority); the mapping is
+def load_csv(path) -> LabeledDataset:
+    """Read a dataset CSV: a required `pv` column, an optional 0/1 `label`
+    column, and every other column a feature.  pv tokens are mapped to ids
+    with the most frequent token forced to 0 (majority); the mapping is
     recorded in meta["pv_tokens"].
     """
     try:
@@ -150,14 +146,10 @@ def load_csv(path, pv_column: str = "pv", label_column: str | None = "auto",
     header = rows[0]
     if len(set(header)) != len(header):
         raise SchemaError(f"{path}: duplicate column names in header")
-    if pv_column not in header:
-        raise SchemaError(f"{path}: missing pv column '{pv_column}'")
-    if label_column == "auto":
-        label_column = "label" if "label" in header else None
-    elif label_column is not None and label_column not in header:
-        raise SchemaError(f"{path}: missing label column '{label_column}'")
-    pv_ix = header.index(pv_column)
-    lab_ix = header.index(label_column) if label_column else None
+    if "pv" not in header:
+        raise SchemaError(f"{path}: missing pv column 'pv'")
+    pv_ix = header.index("pv")
+    lab_ix = header.index("label") if "label" in header else None
     feat_ix = [j for j in range(len(header)) if j != pv_ix and j != lab_ix]
 
     feats, pv_tokens, labels = [], [], []
@@ -189,9 +181,7 @@ def load_csv(path, pv_column: str = "pv", label_column: str | None = "auto",
         features=np.array(feats, dtype=np.float64),
         pv=np.array([mapping[t] for t in pv_tokens], dtype=np.int64),
         labels=np.array(labels, dtype=np.int64) if lab_ix is not None else None,
-        name=name or str(path),
-        meta={"pv_tokens": mapping,
-              "feature_columns": [header[j] for j in feat_ix]},
+        meta={"pv_tokens": mapping},
     )
     return ds.validate()
 
@@ -200,32 +190,17 @@ def load_csv(path, pv_column: str = "pv", label_column: str | None = "auto",
 
 
 def standardize(ds: LabeledDataset) -> LabeledDataset:
-    """Rescale each column to mean 0, std 1; constant columns go to all zeros.
-
-    The (mean, std) pair is recorded in meta["standardize"] so held-out rows
-    can be mapped through apply_standardize.
-    """
+    """Rescale each column to mean 0, std 1; constant columns go to all zeros."""
     if ds.n < 2:
         raise ValidationError("standardize needs N >= 2")
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)
-    transform = {"mean": mean.tolist(), "std": std.tolist()}
-    meta = dict(ds.meta)
-    meta["standardize"] = transform
     return LabeledDataset(
-        features=apply_standardize(ds.features, transform),
+        features=(ds.features - mean) / np.where(std > 0.0, std, 1.0),
         pv=ds.pv.copy(),
         labels=None if ds.labels is None else ds.labels.copy(),
-        name=ds.name,
-        meta=meta,
+        meta=dict(ds.meta),
     )
-
-
-def apply_standardize(X: np.ndarray, transform: dict) -> np.ndarray:
-    mean = np.asarray(transform["mean"])
-    std = np.asarray(transform["std"])
-    divisor = np.where(std > 0.0, std, 1.0)
-    return (np.asarray(X, dtype=np.float64) - mean) / divisor
 
 
 def _floor_count(rate: float, n: int) -> int:
@@ -283,8 +258,7 @@ def stratified_downsample(ds: LabeledDataset, group_ratio: float = 4.0,
     meta["downsample"] = {"group_ratio": group_ratio, "outlier_rate": outlier_rate,
                           "seed": seed, "kept": int(keep.size)}
     out = LabeledDataset(features=ds.features[keep], pv=ds.pv[keep],
-                         labels=ds.labels[keep], name=ds.name + "_downsampled",
-                         meta=meta)
+                         labels=ds.labels[keep], meta=meta)
     return out.validate()
 
 
@@ -303,13 +277,13 @@ def _split_outliers(n_major: int, n_minor: int, n_outlier: int) -> tuple[int, in
     return k_a, k_b
 
 
-def _assemble(x1_a, x2_a, y_a, x1_b, x2_b, y_b, name: str) -> LabeledDataset:
+def _assemble(x1_a, x2_a, y_a, x1_b, x2_b, y_b) -> LabeledDataset:
     features = np.column_stack([np.concatenate([x1_a, x1_b]),
                                 np.concatenate([x2_a, x2_b])])
     pv = np.concatenate([np.zeros(len(x1_a), dtype=np.int64),
                          np.ones(len(x1_b), dtype=np.int64)])
     labels = np.concatenate([y_a, y_b]).astype(np.int64)
-    ds = LabeledDataset(features=features, pv=pv, labels=labels, name=name,
+    ds = LabeledDataset(features=features, pv=pv, labels=labels,
                         meta={"pv_tokens": {"a": 0, "b": 1}})
     return ds.validate()
 
@@ -332,7 +306,7 @@ def make_synth1(n_major: int, n_minor: int, n_outlier: int, seed: int) -> Labele
 
     x2_a, y_a = x2_block(n_major, k_a)
     x2_b, y_b = x2_block(n_minor, k_b)
-    return _assemble(x1_a, x2_a, y_a, x1_b, x2_b, y_b, "synth1")
+    return _assemble(x1_a, x2_a, y_a, x1_b, x2_b, y_b)
 
 
 def make_synth2(n_major: int, n_minor: int, n_outlier: int, seed: int,
@@ -357,4 +331,4 @@ def make_synth2(n_major: int, n_minor: int, n_outlier: int, seed: int,
 
     x1_a, x2_a, y_a = block(n_major, k_a, -1.0)
     x1_b, x2_b, y_b = block(n_minor, k_b, 1.0)
-    return _assemble(x1_a, x2_a, y_a, x1_b, x2_b, y_b, "synth2")
+    return _assemble(x1_a, x2_a, y_a, x1_b, x2_b, y_b)

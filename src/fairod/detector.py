@@ -100,44 +100,39 @@ def init_params(cfg: AEConfig) -> AutoencoderParams:
 
 
 def reconstruct_graph(param_vars: dict[str, Var], X: np.ndarray | Var) -> Var:
-    """Forward pass on the tape; X may be a batch (N,d) or a single row (d,)."""
+    """Forward pass on the tape over a batch (N,d)."""
     x = as_var(X)
-    if x.value.ndim == 1:
-        x = x.reshape((1, x.value.shape[0]))
     h1 = (x @ param_vars["W_enc1"] + param_vars["b_enc1"]).tanh()
     h2 = (h1 @ param_vars["W_dec1"] + param_vars["b_dec1"]).tanh()
     return h2 @ param_vars["W_out"] + param_vars["b_out"]
 
 
 def score_graph(param_vars: dict[str, Var], X: np.ndarray | Var) -> Var:
-    """Per-row squared reconstruction error on the tape."""
+    """Per-row squared reconstruction error on the tape, over a batch (N,d)."""
     x = as_var(X)
-    if x.value.ndim == 1:
-        x = x.reshape((1, x.value.shape[0]))
     resid = x - reconstruct_graph(param_vars, x)
     return (resid * resid).sum(axis=1)
 
 
-def _check_width(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
+def _as_batch(params: AutoencoderParams, X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """X as an (N,d) batch of the detector's width, and whether it was one row."""
     X = np.asarray(X, dtype=np.float64)
     d = params.W_enc1.shape[0]
     width = X.shape[-1] if X.ndim else 0
     if X.ndim not in (1, 2) or width != d:
         raise ValueError(f"input width {width} does not match detector input_dim {d}")
-    return X
+    return np.atleast_2d(X), X.ndim == 1
 
 
 def reconstruct(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
     """Deterministic reconstruction; accepts a row (d,) or batch (N,d)."""
-    X = _check_width(params, X)
-    squeeze = X.ndim == 1
-    out = reconstruct_graph({k: as_var(v) for k, v in params.to_dict().items()}, X).value
-    return out[0] if squeeze else out
+    batch, row = _as_batch(params, X)
+    out = reconstruct_graph({k: as_var(v) for k, v in params.to_dict().items()}, batch).value
+    return out[0] if row else out
 
 
 def score(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
     """Outlier score per row: squared L2 distance between input and reconstruction."""
-    X = _check_width(params, X)
-    squeeze = X.ndim == 1
-    out = score_graph({k: as_var(v) for k, v in params.to_dict().items()}, X).value
-    return out[0] if squeeze else out
+    batch, row = _as_batch(params, X)
+    out = score_graph({k: as_var(v) for k, v in params.to_dict().items()}, batch).value
+    return out[0] if row else out

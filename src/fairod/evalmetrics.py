@@ -19,8 +19,10 @@ from .losses import BaseScoreSet, idcg_group
 
 
 def ceil_frac(f: float, n: int) -> int:
-    """ceil(f*n) guarded against float artifacts like 0.05*100 = 5.0000...01."""
-    return int(math.ceil(round(f * n, 9)))
+    """ceil(f*n) guarded against float artifacts like 0.05*100 = 5.0000...01;
+    at least 1 for f > 0 and n >= 1, however small f*n is, as ceil(f*n) is."""
+    k = int(math.ceil(round(f * n, 9)))
+    return max(k, 1) if f > 0.0 and n >= 1 else k
 
 
 def _rank_order(scores: np.ndarray) -> np.ndarray:
@@ -272,13 +274,14 @@ class EvalReport:
 
 def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
                  base: BaseScoreSet | None = None,
-                 base_scores: np.ndarray | None = None,
                  config: dict | None = None) -> EvalReport:
     """Assemble all metrics.  Rank-fidelity measures (NDCG, GroupFidelity,
     top-k agreement) need `base`; supervised measures need ds.labels; both
     degrade to None with a note when their inputs are missing.  The scores
     are ranked once; flags, group rankings, AP and P@k all read that ranking."""
     scores = np.asarray(scores, dtype=np.float64)
+    if base is not None and base.raw.size != ds.n:
+        raise ValueError("score sets cover different datasets")
     groups = group_view(ds)
     gids = sorted(groups)
     ss = ScoreSet.from_scores(scores, ds.pv, f)
@@ -298,8 +301,7 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
             if ndcg[g] is None:
                 notes.append(f"ndcg degenerate for group {g}: all-zero relevances")
         gf = _fidelity([ndcg[g] for g in gids])
-        base_order = _rank_order(base.raw if base_scores is None else base_scores)
-        topk = _topk_jaccard(ss.order, base_order, ceil_frac(f, ds.n))
+        topk = _topk_jaccard(ss.order, _rank_order(base.raw), ceil_frac(f, ds.n))
     else:
         notes.append("rank-fidelity metrics skipped: no base scores supplied")
 

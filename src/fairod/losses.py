@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import GroupView
 from .detector import AutoencoderParams, score_graph
-from .numgrad import NumericalOverflowError, Var, as_var
+from .numgrad import NumericalOverflowError, Var, as_var, eval_loss
 
 EPS_DENOM = 1e-8
 EPS_VAR = 1e-16
@@ -356,8 +356,7 @@ class TotalLossSpec:
 def loss_base(params: AutoencoderParams, batch: np.ndarray) -> float:
     """Reconstruction objective: sum over rows of squared reconstruction error."""
     spec = TotalLossSpec(variant="base_only", weights=LossWeights(alpha=1.0, gamma=0.0))
-    pv_vars = {k: as_var(v) for k, v in params.to_dict().items()}
-    return float(spec.components(pv_vars, np.asarray(batch, dtype=np.float64))[0].value)
+    return eval_loss(params.to_dict(), np.asarray(batch, dtype=np.float64), spec)
 
 
 def total_loss(params: AutoencoderParams, batch: np.ndarray, pv: np.ndarray | None,
@@ -368,5 +367,4 @@ def total_loss(params: AutoencoderParams, batch: np.ndarray, pv: np.ndarray | No
     if groups is None and pv is not None:
         groups = {int(g): np.flatnonzero(pv == g) for g in np.unique(pv)}
     spec = TotalLossSpec(variant=variant, weights=weights, pv=pv, base=base, groups=groups)
-    pv_vars = {k: as_var(v) for k, v in params.to_dict().items()}
-    return float(spec.components(pv_vars, np.asarray(batch, dtype=np.float64))[0].value)
+    return eval_loss(params.to_dict(), np.asarray(batch, dtype=np.float64), spec)

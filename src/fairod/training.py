@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -206,16 +207,6 @@ class GridResult:
     group_fidelity: float | None
     error: str | None = None
 
-    def summary_dict(self) -> dict:
-        return {
-            "alpha": self.config.alpha,
-            "gamma": self.config.gamma,
-            "variant": self.config.variant,
-            "fairness": self.fairness,
-            "group_fidelity": self.group_fidelity,
-            "error": self.error,
-        }
-
 
 def unsupervised_metrics(fit: FitResult, ds: LabeledDataset,
                          base_scores: np.ndarray) -> tuple[float | None, float | None]:
@@ -236,10 +227,6 @@ def _grid_cell(ds: LabeledDataset, base: FitResult, cfg: TrainConfig) -> GridRes
                           error=f"{type(e).__name__}: {e}")
 
 
-def _grid_cell_star(args) -> GridResult:
-    return _grid_cell(*args)
-
-
 def grid_search(ds: LabeledDataset, base: FitResult,
                 grid: dict[str, list[float]] | None = None,
                 cfg_common: TrainConfig | None = None,
@@ -257,8 +244,9 @@ def grid_search(ds: LabeledDataset, base: FitResult,
         base = replace(base, scores=base.rescore(ds))
     configs = [replace(cfg_common, alpha=a, gamma=g) for a in alphas for g in gammas]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_grid_cell_star, [(ds, base, c) for c in configs]))
+        # a fork-based pool starts all its workers at once: no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
+            return list(pool.map(_grid_cell, repeat(ds), repeat(base), configs))
     return [_grid_cell(ds, base, c) for c in configs]
 
 

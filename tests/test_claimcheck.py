@@ -205,6 +205,16 @@ def verdict2():
     return verify_claim2(7)
 
 
+def test_verdicts_pinned_at_seven(verdict1, verdict2):
+    assert verdict1.premise_counts == {"checked": 5776, "effectiveness_failed": 3439,
+                                       "sp_failed": 2278, "premises_met": 59}
+    assert verdict1.witness["population"]["cells"] == [0, 0, 0, 1, 1, 1, 0, 0]
+    assert verdict2.premise_counts == {"checked": 5776, "effectiveness_failed": 3439,
+                                       "sp_failed": 2278, "ratio_failed": 48,
+                                       "premises_met": 11}
+    assert verdict2.witness["population"]["cells"] == [0, 0, 1, 1, 1, 0, 0, 1]
+
+
 class TestClaim1:
     def test_no_counterexamples(self, verdict1):
         assert verdict1.holds

@@ -217,6 +217,18 @@ class TestEval:
                        "--out", tmp_path / "ev") == cli.EXIT_USAGE
             assert "usage error" in capsys.readouterr().err
 
+    def test_tiny_flag_fraction_flags_one_row(self, work, tmp_path):
+        assert run("eval", "--data", work["data"], "--model", work["base"],
+                   "--base", work["fair"], "--flag-fraction", "1e-12",
+                   "--out", tmp_path) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        flagged = sum(doc["flag_rates"][g] * doc["group_sizes"][g] for g in ("0", "1"))
+        assert flagged == pytest.approx(1.0)
+
     def test_single_group_data_is_data_error(self, work, tmp_path, capsys):
         one = tmp_path / "one.csv"
         one.write_text("f_0,f_1,pv\n1,2,a\n4,5,a\n2,1,a\n3,2,a\n")

@@ -42,6 +42,16 @@ def test_load_csv_maps_tokens_and_reads_features(tmp_path):
     assert_allclose(ds.features, [[1.5, 2], [3, 4], [5, 6], [7, 8]])
 
 
+def test_load_csv_label_column_anywhere_rest_are_features(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("label,f_0,pv,f_1\n0,1,m,2\n1,3,m,4\n0,5,f,6\n1,7,f,8\n",
+                 encoding="utf-8")
+    ds = load_csv(f)
+    assert list(ds.labels) == [0, 1, 0, 1]
+    assert_allclose(ds.features, [[1, 2], [3, 4], [5, 6], [7, 8]])
+    assert set(ds.meta) == {"pv_tokens"}
+
+
 def test_load_csv_missing_pv_column(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("f_0,f_1\n1,2\n", encoding="utf-8")
@@ -70,13 +80,6 @@ def test_load_csv_bad_label_value(tmp_path):
         load_csv(f)
 
 
-def test_explicit_label_column_must_exist(tmp_path):
-    f = tmp_path / "d.csv"
-    f.write_text("f_0,pv\n1,m\n2,m\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="y_true"):
-        load_csv(f, label_column="y_true")
-
-
 def test_save_load_round_trip_bit_exact(tmp_path):
     ds = make_synth1(40, 10, 4, seed=99)
     p = tmp_path / "s.csv"
@@ -94,7 +97,6 @@ def test_standardize_hand_example():
     out = standardize(ds)
     assert_allclose(out.features[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
     assert_allclose(out.features[:, 1], [0.0, 0.0, 0.0])  # constant column
-    assert "standardize" in out.meta
 
 
 def test_standardize_idempotent():

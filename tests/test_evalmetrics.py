@@ -48,6 +48,10 @@ def test_ceil_frac_guards_float_artifacts():
     assert ceil_frac(0.05, 2400) == 120
     assert ceil_frac(0.051, 100) == 6
     assert ceil_frac(1 / 3, 3) == 1
+    # f*n below the 9-digit rounding still means ceil(f*n) = 1
+    assert ceil_frac(1e-12, 360) == 1
+    assert ceil_frac(1e-12, 1) == 1
+    assert ceil_frac(0.5, 0) == 0
 
 
 def test_flag_top_fraction_count_and_membership():
@@ -354,7 +358,7 @@ def full_report_fixture():
 
 def test_build_report_full_inputs():
     scores, ds, base, base_scores = full_report_fixture()
-    rep = build_report(scores, ds, 0.1, base=base, base_scores=base_scores,
+    rep = build_report(scores, ds, 0.1, base=base,
                        config={"variant": "fairod"})
     assert rep.fairness is not None and 0.0 <= rep.fairness <= 1.0
     assert rep.group_fidelity is not None and 0.0 < rep.group_fidelity <= 1.0
@@ -368,7 +372,20 @@ def test_build_report_full_inputs():
     assert sum(rep.flag_rates[g] * rep.group_sizes[g] for g in (0, 1)) == 6
     for wrong_size in (base_scores[:-1], np.append(base_scores, 0.5)):
         with pytest.raises(ValueError, match="different datasets"):
-            build_report(scores, ds, 0.1, base=base, base_scores=wrong_size)
+            build_report(scores, ds, 0.1, base=BaseScoreSet.from_scores(wrong_size, {}))
+
+
+def test_build_report_tiny_flag_fraction_flags_one_row():
+    rng = np.random.default_rng(4)
+    pv = np.array([0] * 50 + [1] * 50)
+    labels = (rng.random(100) < 0.3).astype(np.int64)
+    ds = make_ds(100, pv, labels)
+    scores = rng.random(100)
+    base = BaseScoreSet.from_scores(rng.random(100), group_view(ds))
+    rep = build_report(scores, ds, 1e-12, base=base)
+    assert sum(rep.flag_rates[g] * rep.group_sizes[g] for g in (0, 1)) == 1
+    assert all(math.isfinite(v) for v in rep.p_at_k.values())
+    assert rep.topk_agreement is not None
 
 
 def test_build_report_without_base_or_labels_degrades_with_notes():
@@ -386,7 +403,7 @@ def test_build_report_without_base_or_labels_degrades_with_notes():
 
 def test_eval_report_json_round_trip():
     scores, ds, base, base_scores = full_report_fixture()
-    rep = build_report(scores, ds, 0.1, base=base, base_scores=base_scores)
+    rep = build_report(scores, ds, 0.1, base=base)
     back = EvalReport.from_json(rep.to_json())
     assert back == rep
     doc = json.loads(rep.to_json())
@@ -402,7 +419,7 @@ def test_eval_report_json_round_trip():
     pv3 = np.where(np.arange(ds.n) % 7 == 0, 2, ds.pv)
     ds3 = make_ds(ds.n, pv3, ds.labels)
     base3 = BaseScoreSet.from_scores(base_scores, group_view(ds3))
-    rep3 = build_report(scores, ds3, 0.1, base=base3, base_scores=base_scores)
+    rep3 = build_report(scores, ds3, 0.1, base=base3)
     back3 = EvalReport.from_json(rep3.to_json())
     assert back3 == rep3
     assert set(back3.ndcg) == set(back3.group_sizes) == {0, 1, 2}
@@ -417,7 +434,7 @@ def test_eval_report_json_preserves_degenerate_none():
 
 def test_eval_report_csv_row_matches_header():
     scores, ds, base, base_scores = full_report_fixture()
-    rep = build_report(scores, ds, 0.1, base=base, base_scores=base_scores)
+    rep = build_report(scores, ds, 0.1, base=base)
     header = EvalReport.csv_header([0, 1])
     row = rep.to_csv_row([0, 1])
     assert len(header) == len(row)
@@ -451,7 +468,7 @@ def test_report_ranks_each_vector_once_and_scores_each_group_once(monkeypatch):
     ScoreSet.from_scores(scores, ds.pv, 0.1)
     assert calls == {"_rank_order": 1}
     calls.clear()
-    build_report(scores, ds, 0.1, base=base, base_scores=base_scores)
+    build_report(scores, ds, 0.1, base=base)
     # one sort each for the model and the base scores, one NDCG per group
     assert calls == {"_rank_order": 2, "ndcg_group": 2}
 

@@ -366,6 +366,38 @@ def test_grid_search_parallel_matches_serial():
         assert s.fairness == p.fairness and s.group_fidelity == p.group_fidelity
 
 
+def test_grid_search_pool_has_no_more_workers_than_cells(monkeypatch):
+    from fairod import training
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+    ds = tiny_ds(n=24, seed=7)
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=4, seed=2))
+    grid = {"alpha": [0.1, 0.9], "gamma": [0.5]}
+    cfg = TrainConfig(epochs=4, seed=2)
+    pooled = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=64)
+    assert started == [2]
+    serial = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=1)
+    assert [c.config for c in pooled] == [c.config for c in serial]
+    for s, p in zip(serial, pooled):
+        assert params_equal(s.fit.params, p.fit.params)
+        assert s.fairness == p.fairness and s.group_fidelity == p.group_fidelity
+
+
 def test_grid_search_empty_axis_rejected():
     ds = tiny_ds()
     base = fit_base(ds, TrainConfig(variant="base_only", epochs=3, seed=0))
