@@ -37,7 +37,7 @@ from .dataset import (
     save_csv,
     standardize,
 )
-from .evalmetrics import EvalReport, build_report
+from .evalmetrics import EvalReport, _real, build_report
 from .losses import BaseScoreSet
 from .numgrad import NumericalOverflowError
 from .training import (
@@ -386,11 +386,8 @@ def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> int:
     except ValueError as e:
         raise TrainingError(f"no usable grid cell: {e}") from e
 
-    def cell(v):
-        return "" if v is None else repr(float(v))
-
     rows = [[repr(float(res.config.alpha)), repr(float(res.config.gamma)),
-             res.config.variant, cell(res.fairness), cell(res.group_fidelity),
+             res.config.variant, _real(res.fairness), _real(res.group_fidelity),
              res.error or "", "1" if res is selected else "0"] for res in results]
     _write_csv(out_dir / "grid.csv",
                ["alpha", "gamma", "variant", "fairness", "group_fidelity",

@@ -2,6 +2,12 @@
 and reconstruction-error scoring.  Both hidden layers are tanh; the model
 file records that as `"activation": "tanh"` and no other value loads.
 
+One numpy forward pass serves scoring, reconstruction and training;
+`score_and_pullback` adds its hand-written backward pass over the six
+parameter arrays.  The tape versions (`reconstruct_graph`, `score_graph`)
+run the same operations in the same order, so their values are the same
+bits; they carry the value-only losses and the gradient oracle.
+
 The scoring path is params-only by construction: neither `reconstruct` nor
 `score` accepts group information, so treatment parity is structural.
 """
@@ -99,6 +105,33 @@ def init_params(cfg: AEConfig) -> AutoencoderParams:
     )
 
 
+def _forward(params: dict[str, np.ndarray], X: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both hidden activations and the reconstruction of a batch (N,d)."""
+    h1 = np.tanh(X @ params["W_enc1"] + params["b_enc1"])
+    h2 = np.tanh(h1 @ params["W_dec1"] + params["b_dec1"])
+    return h1, h2, h2 @ params["W_out"] + params["b_out"]
+
+
+def score_and_pullback(params: dict[str, np.ndarray], X: np.ndarray):
+    """Per-row squared reconstruction error of a batch (N,d), and the
+    pullback that maps an upstream gradient on those scores to the
+    gradient of each parameter array."""
+    h1, h2, out = _forward(params, X)
+    resid = X - out
+    scores = (resid * resid).sum(axis=1)
+
+    def pullback(g: np.ndarray) -> dict[str, np.ndarray]:
+        g_out = resid * (-2.0 * g)[:, None]
+        g_h2 = (g_out @ params["W_out"].T) * (1.0 - h2 * h2)
+        g_h1 = (g_h2 @ params["W_dec1"].T) * (1.0 - h1 * h1)
+        return {"W_enc1": X.T @ g_h1, "b_enc1": g_h1.sum(axis=0),
+                "W_dec1": h1.T @ g_h2, "b_dec1": g_h2.sum(axis=0),
+                "W_out": h2.T @ g_out, "b_out": g_out.sum(axis=0)}
+
+    return scores, pullback
+
+
 def reconstruct_graph(param_vars: dict[str, Var], X: np.ndarray | Var) -> Var:
     """Forward pass on the tape over a batch (N,d)."""
     x = as_var(X)
@@ -127,12 +160,12 @@ def _as_batch(params: AutoencoderParams, X: np.ndarray) -> tuple[np.ndarray, boo
 def reconstruct(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
     """Deterministic reconstruction; accepts a row (d,) or batch (N,d)."""
     batch, row = _as_batch(params, X)
-    out = reconstruct_graph({k: as_var(v) for k, v in params.to_dict().items()}, batch).value
+    out = _forward(params.to_dict(), batch)[2]
     return out[0] if row else out
 
 
 def score(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
     """Outlier score per row: squared L2 distance between input and reconstruction."""
     batch, row = _as_batch(params, X)
-    out = score_graph({k: as_var(v) for k, v in params.to_dict().items()}, batch).value
+    out = score_and_pullback(params.to_dict(), batch)[0]
     return out[0] if row else out

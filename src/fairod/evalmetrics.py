@@ -84,17 +84,19 @@ def fairness_metric(flags: np.ndarray, pv: np.ndarray) -> float | None:
 
 
 def ndcg_group(scores: np.ndarray, base_scores_norm: np.ndarray,
-               group_rows: np.ndarray) -> float | None:
+               group_rows: np.ndarray, idcg: float | None = None) -> float | None:
     """Hard-rank NDCG of the model's within-group ordering against gains
     2^s-1 from normalized base scores.  Ranks count members scoring at or
     above each item, so tied items share the deeper rank.  Returns None for
-    an all-zero-relevance group."""
+    an all-zero-relevance group.  `idcg` is the group's ideal DCG when the
+    caller holds it (`BaseScoreSet.idcg`); otherwise it is computed here."""
     rows = np.asarray(group_rows)
     if rows.size == 0:
         raise ValueError("ndcg_group needs a nonempty group")
     s = np.asarray(scores, dtype=np.float64)[rows]
     rel = np.exp2(np.asarray(base_scores_norm, dtype=np.float64)[rows]) - 1.0
-    idcg = idcg_group(np.asarray(base_scores_norm)[rows])
+    if idcg is None:
+        idcg = idcg_group(np.asarray(base_scores_norm)[rows])
     if idcg == 0.0:
         return None
     sorted_s = np.sort(s)
@@ -297,7 +299,7 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
     topk = None
     if base is not None:
         for g in gids:
-            ndcg[g] = ndcg_group(scores, base.normalized, groups[g])
+            ndcg[g] = ndcg_group(scores, base.normalized, groups[g], base.idcg[g])
             if ndcg[g] is None:
                 notes.append(f"ndcg degenerate for group {g}: all-zero relevances")
         gf = _fidelity([ndcg[g] for g in gids])

@@ -2,23 +2,30 @@
 loss, the listwise group-fidelity loss with sigmoid-smoothed ranks, its
 correlation-based ablation, and the composite total loss.
 
-Every public value function evaluates the exact same graph the gradient
-path uses, so values and gradients cannot drift apart.  Two epsilons appear
-throughout: EPS_DENOM (1e-8) guards correlation/scale denominators, and
-EPS_VAR (1e-16) is added under square roots so gradients stay finite when a
-variance hits zero.
+Training calls `TotalLossSpec.loss_and_grad`: one numpy pass per term
+over the score vector, each with a hand-written vector-Jacobian product
+(closed-form |Pearson| derivatives, the blocked smoothed-rank pullback),
+chained through the detector's pullback.  The public value functions and
+`TotalLossSpec.components` build the same terms on the `numgrad` tape with
+the same operations in the same order, so both paths give the same loss
+bits; the tape's gradient is the oracle the fused one is tested against.
+
+Two epsilons appear throughout: EPS_DENOM (1e-8) guards correlation/scale
+denominators, and EPS_VAR (1e-16) is added under square roots so gradients
+stay finite when a variance hits zero.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import GroupView
-from .detector import AutoencoderParams, score_graph
-from .numgrad import NumericalOverflowError, Var, as_var, eval_loss
+from .detector import AutoencoderParams, score_and_pullback, score_graph
+from .numgrad import _LN2, NumericalOverflowError, Var, _assert_finite, as_var, eval_loss
 
 EPS_DENOM = 1e-8
 EPS_VAR = 1e-16
@@ -109,6 +116,21 @@ def _pearson_abs_graph(u: Var, v: np.ndarray) -> Var:
     return (cov / (std_u * std_v + EPS_DENOM)).abs()
 
 
+def _pearson_abs_vjp(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """`_pearson_abs_graph`'s value and its gradient in u, in numpy."""
+    n = u.size
+    vm = v - v.mean()
+    std_v = float(np.sqrt(vm.dot(vm) / v.size + EPS_VAR))
+    centered = u - u.sum() * (1.0 / n)
+    std_u = np.sqrt((centered * centered).sum() * (1.0 / n) + EPS_VAR)
+    denom = std_u * std_v + EPS_DENOM
+    r = (centered * vm).sum() * (1.0 / n) / denom
+    # d r / d centered = (vm - r std_v centered / std_u) / (n denom); the
+    # mean's pullback then removes the gradient's own mean
+    g = (np.sign(r) / (n * denom)) * (vm - (r * std_v / std_u) * centered)
+    return float(np.abs(r)), g - g.sum() * (1.0 / n)
+
+
 def pearson_abs_corr(u: np.ndarray, v: np.ndarray) -> float:
     """Absolute Pearson correlation, clipped to [0,1]; degenerate inputs
     (either side constant) return 0 with a warning."""
@@ -145,6 +167,15 @@ def loss_sp_graph(scores: Var, pv: np.ndarray) -> Var:
     return total
 
 
+def _loss_sp_vjp(scores: np.ndarray, pv: np.ndarray) -> tuple[float, np.ndarray]:
+    value, grad = 0.0, np.zeros_like(scores)
+    for t in _sp_terms(pv):
+        v, g = _pearson_abs_vjp(scores, t)
+        value += v
+        grad += g
+    return float(value), grad
+
+
 def loss_sp(scores: np.ndarray, pv: np.ndarray) -> float:
     """Statistical-parity loss: |corr(scores, group indicator)|, summed over
     one-hot columns when pv takes more than two values."""
@@ -165,14 +196,14 @@ def loss_sp(scores: np.ndarray, pv: np.ndarray) -> float:
 _RANK_BLOCK = 64
 
 
-def _pairwise_rank_graph(su: Var, c: float) -> Var:
+def _pairwise_ranks(s: np.ndarray, c: float):
     """Smooth within-group ranks: 0.5 + sum_k sigma(c (s_k - s_i)).
 
     The self pair contributes sigma(0) = 0.5 exactly, so adding 0.5 equals
     counting the self term as 1, keeping every rank >= 1.
 
-    One tape node with a hand-written vector-Jacobian product, and no
-    (n,n) matrix.  With h = (c/2) s and t_ik = tanh(h_k - h_i),
+    Returns the ranks and their vector-Jacobian product, with no (n,n)
+    matrix.  With h = (c/2) s and t_ik = tanh(h_k - h_i),
     sigma(c (s_k - s_i)) = (1 + t_ik)/2, so ranks = 0.5 + n/2 + sum_k t_ik/2.
     t is antisymmetric, so each row block [a, b) forms only the pairs
     k >= a: their row sums go to rows a:b and the column sums of the part
@@ -186,7 +217,6 @@ def _pairwise_rank_graph(su: Var, c: float) -> Var:
     _RANK_BLOCK x _RANK_BLOCK, the whole matrix of a one-block group)
     rather than keeping n^2/2 values alive.
     """
-    s = su.value
     n = s.size
     h = (0.5 * c) * s
     starts = range(0, n, _RANK_BLOCK)
@@ -222,6 +252,12 @@ def _pairwise_rank_graph(su: Var, c: float) -> Var:
                 tsq[b:] += right.sum(axis=0)
         return (0.25 * c) * (g.sum() - tg - g * (n - tsq))
 
+    return ranks, vjp
+
+
+def _pairwise_rank_graph(su: Var, c: float) -> Var:
+    """`_pairwise_ranks` as one tape node."""
+    ranks, vjp = _pairwise_ranks(su.value, c)
     return Var(ranks, (su,), (vjp,), "pairwise_rank")
 
 
@@ -230,8 +266,7 @@ def smooth_rank(scores_in_group: np.ndarray, i: int, c: float = 50.0) -> float:
     (1 = top).  No rescaling happens here; loss_gf standardizes scores
     before using these ranks."""
     s = np.asarray(scores_in_group, dtype=np.float64)
-    ranks = _pairwise_rank_graph(as_var(s), c).value
-    return float(ranks[i])
+    return float(_pairwise_ranks(s, c)[0][i])
 
 
 def _unit_scale_graph(sub_scores: Var) -> Var:
@@ -240,6 +275,38 @@ def _unit_scale_graph(sub_scores: Var) -> Var:
     centered = sub_scores - sub_scores.mean()
     std = ((centered * centered).mean() + EPS_VAR).sqrt()
     return centered / (std + EPS_DENOM)
+
+
+def _unit_scale_vjp(x: np.ndarray):
+    """`_unit_scale_graph` in numpy: the scaled scores and their pullback."""
+    n = x.size
+    centered = x - x.sum() * (1.0 / n)
+    std = np.sqrt((centered * centered).sum() * (1.0 / n) + EPS_VAR)
+    scale = std + EPS_DENOM
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        gc = g / scale - centered * ((g @ centered) / (scale * scale * std * n))
+        return gc - gc.sum() * (1.0 / n)
+
+    return centered / scale, pullback
+
+
+def _loss_gf_vjp(scores: np.ndarray, base: BaseScoreSet, groups: GroupView,
+                 c: float) -> tuple[float, np.ndarray]:
+    value, grad = 0.0, np.zeros_like(scores)
+    for g in sorted(groups):
+        idx = groups[g]
+        idcg = base.idcg[g]
+        if idcg <= 0.0:
+            continue
+        rel = base.relevance[idx]
+        su, unit_pullback = _unit_scale_vjp(scores[idx])
+        ranks, rank_pullback = _pairwise_ranks(su, c)
+        denom = np.log(ranks + 1.0) * (1.0 / _LN2) * idcg
+        value += 1.0 - (rel / denom).sum()
+        g_ranks = rel / (denom * denom) * (idcg / _LN2) / (ranks + 1.0)
+        grad[idx] += unit_pullback(rank_pullback(g_ranks))
+    return float(value), grad
 
 
 def loss_gf_graph(scores: Var, base: BaseScoreSet, groups: GroupView,
@@ -281,6 +348,19 @@ def loss_gf_corr_graph(scores: Var, base: BaseScoreSet, groups: GroupView,
         sub = scores.take_rows(idx)
         total = total - _pearson_abs_graph(sub, base.raw[idx])
     return total
+
+
+def _loss_gf_corr_vjp(scores: np.ndarray, base: BaseScoreSet, groups: GroupView
+                      ) -> tuple[float, np.ndarray]:
+    value, grad = 0.0, np.zeros_like(scores)
+    for g in sorted(groups):
+        idx = groups[g]
+        if idx.size < 2 or np.ptp(base.raw[idx]) == 0.0:
+            continue
+        v, gu = _pearson_abs_vjp(scores[idx], base.raw[idx])
+        value -= v
+        grad[idx] -= gu
+    return float(value), grad
 
 
 def loss_gf_corr(scores: np.ndarray, base: BaseScoreSet, groups: GroupView) -> float:
@@ -351,6 +431,55 @@ class TotalLossSpec:
         total = sum(terms[1:], terms[0])
         comps["total"] = float(total.value)
         return total, comps
+
+    def loss_and_grad(self, params: dict[str, np.ndarray], batch: np.ndarray
+                      ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
+        """Total loss, its gradient in each parameter array, and the raw
+        component values, without the tape.  Same skip rules and the same
+        loss and component bits as `components`."""
+        w = self.weights
+        comps = {"base": 0.0, "sp": 0.0, "gf": 0.0}
+        scores, pullback = score_and_pullback(params, np.asarray(batch, dtype=np.float64))
+        total = scores.sum()
+        if not math.isfinite(total):  # scores are >= 0: finite iff every score is
+            raise NumericalOverflowError("loss_base: non-finite scores")
+        comps["base"] = float(total)
+        g = np.ones_like(scores)
+        if self.variant != "base_only":
+            # alpha in [0,1], so at least one of the first two terms is present
+            terms = []
+            g *= w.alpha
+            if w.alpha > 0.0:
+                terms.append(total * w.alpha)
+            if w.alpha < 1.0:
+                sp, g_sp = _checked("loss_sp", *_loss_sp_vjp(scores, self.pv))
+                comps["sp"] = sp
+                terms.append(sp * (1.0 - w.alpha))
+                g += (1.0 - w.alpha) * g_sp
+            if w.gamma > 0.0 and self.variant in ("fairod", "fairod_c"):
+                if self.variant == "fairod":
+                    gf, g_gf = _checked("loss_gf", *_loss_gf_vjp(
+                        scores, self.base, self.groups, w.c))
+                else:
+                    gf, g_gf = _checked("loss_gf_corr", *_loss_gf_corr_vjp(
+                        scores, self.base, self.groups))
+                comps["gf"] = gf
+                terms.append(gf * w.gamma)
+                g += w.gamma * g_gf
+            total = sum(terms[1:], terms[0])
+        comps["total"] = float(total)
+        grads = pullback(g)
+        for k, v in grads.items():
+            _assert_finite(v, f"grad[{k}]")
+        return float(total), grads, comps
+
+
+def _checked(term: str, value: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
+    """One loss term's value and gradient on the scores, or
+    NumericalOverflowError naming the term."""
+    if not math.isfinite(value + grad.sum()):
+        raise NumericalOverflowError(f"{term}: non-finite value or gradient")
+    return value, grad
 
 
 def loss_base(params: AutoencoderParams, batch: np.ndarray) -> float:

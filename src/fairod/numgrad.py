@@ -1,15 +1,15 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float64 arrays, the
+training loop's gradient entry point, and bias-corrected Adam.
 
 A small tape-based engine in the micrograd style, vectorised with numpy:
 each `Var` wraps an ndarray and remembers how to push a cotangent back to
-its parents.  On top of the engine sit the three training primitives the
-rest of the package uses: `eval_loss_grad_components`, `finite_diff_grad`
-(the independent check), and bias-corrected Adam.
-
-A loss spec is any object with one method,
-`components(param_vars, batch) -> (Var, dict[str, float])`: the scalar loss
-node over leaf Vars keyed like the parameter dict, and a breakdown of its
-terms.  Both the gradient path and the value-only path call it.
+its parents.  Training does not use it.  `eval_loss_grad_components`
+returns a loss spec's fused `loss_and_grad(params, batch)`, a hand-written
+forward and backward pass.  The tape is the independent check on that
+pass: a spec's `components(param_vars, batch) -> (Var, dict[str, float])`
+builds the scalar loss node over leaf Vars keyed like the parameter dict,
+`tape_loss_grad_components` differentiates it, and `eval_loss` (the
+value-only path, which `finite_diff_grad` perturbs) evaluates it.
 
 Everything is deterministic: no randomness, no threading, accumulation
 order fixed by graph construction order.
@@ -17,7 +17,8 @@ order fixed by graph construction order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +30,9 @@ class NumericalOverflowError(FloatingPointError):
 
 
 def _assert_finite(value: np.ndarray, name: str) -> None:
-    # np.sum is finite iff every element is finite (inf/nan poison the sum);
+    # the sum is finite iff every element is finite (inf/nan poison the sum);
     # cheaper than isfinite().all() because no boolean temp is allocated.
-    if not np.isfinite(np.sum(value)):
+    if not math.isfinite(value.sum()):
         raise NumericalOverflowError(f"non-finite values produced by '{name}'")
 
 
@@ -230,11 +231,22 @@ GradientSet = dict[str, np.ndarray]
 def eval_loss_grad_components(params: ParamDict, batch: np.ndarray, loss_spec
                               ) -> tuple[float, GradientSet, dict[str, float]]:
     """Evaluate a loss, its gradient with respect to every parameter array,
-    and the spec's term breakdown.
+    and the spec's term breakdown, through the spec's fused `loss_and_grad`.
 
-    Gradients come back shape-matched to `params`; parameters the loss
-    never touches get exact zeros.  Non-finite intermediates raise
-    NumericalOverflowError naming the offending operation or loss term.
+    Gradients come back shape-matched to `params`.  A non-finite loss term
+    or gradient raises NumericalOverflowError naming it.
+    """
+    return loss_spec.loss_and_grad(params, batch)
+
+
+def tape_loss_grad_components(params: ParamDict, batch: np.ndarray, loss_spec
+                              ) -> tuple[float, GradientSet, dict[str, float]]:
+    """`eval_loss_grad_components` on the tape, from the spec's `components`:
+    the oracle for the fused gradients.
+
+    Parameters the loss never touches get exact zeros.  Non-finite
+    intermediates raise NumericalOverflowError naming the offending
+    operation or loss term.
     """
     param_vars = {k: leaf(v, k) for k, v in params.items()}
     loss, comps = loss_spec.components(param_vars, batch)
@@ -287,33 +299,38 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, keyed like the parameter dict."""
+    """Bias-corrected Adam moments over one flat parameter vector."""
 
     lr: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: ParamDict = field(default_factory=dict)
-    v: ParamDict = field(default_factory=dict)
 
 
-def init_adam(params: ParamDict, lr: float) -> AdamState:
-    state = AdamState(lr=lr)
-    state.m = {k: np.zeros_like(v) for k, v in params.items()}
-    state.v = {k: np.zeros_like(v) for k, v in params.items()}
-    return state
+def init_adam(theta: np.ndarray, lr: float) -> AdamState:
+    return AdamState(lr=lr, m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(state: AdamState, params: ParamDict, grads: GradientSet) -> tuple[ParamDict, AdamState]:
-    """One Adam update; returns fresh params, mutates and returns the state."""
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One Adam update of the flat vector `theta` in place; mutates the state.
+
+    theta - lr m_hat / (sqrt(v_hat) + eps), with the moments decayed first:
+    every element takes the same operations in the same order as an update
+    array by array, so the result is the same bits."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_B1, ADAM_B2
-    out: ParamDict = {}
-    for k, p in params.items():
-        g = grads[k]
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
-        m_hat = state.m[k] / (1.0 - b1 ** t)
-        v_hat = state.v[k] / (1.0 - b2 ** t)
-        out[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        _assert_finite(out[k], f"adam_step[{k}]")
-    return out, state
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    sq = grad * grad
+    sq *= 1.0 - b2
+    state.v *= b2
+    state.v += sq
+    den = state.v / (1.0 - b2 ** t)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    step = state.m / (1.0 - b1 ** t)
+    step *= state.lr
+    step /= den
+    theta -= step
+    _assert_finite(theta, "adam_step")

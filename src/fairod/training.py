@@ -124,8 +124,14 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
              base_set: BaseScoreSet | None) -> FitResult:
     cfg_run = replace(cfg, variant=variant)
     X = ds.features
-    params = init_params(AEConfig.for_dim(ds.d, seed=cfg.seed)).to_dict()
-    adam = init_adam(params, lr=cfg.lr)
+    init = init_params(AEConfig.for_dim(ds.d, seed=cfg.seed)).to_dict()
+    # the six arrays are views of one vector, which Adam updates in place
+    theta = np.concatenate([a.ravel() for a in init.values()])
+    params, start = {}, 0
+    for k, a in init.items():
+        params[k] = theta[start:start + a.size].reshape(a.shape)
+        start += a.size
+    adam = init_adam(theta, lr=cfg.lr)
     pv = ds.pv if variant != "base_only" else None
     trace: dict[str, list[float]] = {k: [] for k in TRACE_KEYS}
     rng = np.random.default_rng(cfg.seed)
@@ -153,7 +159,7 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
             # it is exactly 1.0, so a full-batch trace holds its terms bit for bit
             for k in TRACE_KEYS:
                 sums[k] += comps[k] * (X_b.shape[0] / ds.n)
-            params, adam = adam_step(adam, params, grads)
+            adam_step(adam, theta, np.concatenate([grads[k].ravel() for k in params]))
         for k in TRACE_KEYS:
             trace[k].append(sums[k])
 

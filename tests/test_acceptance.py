@@ -19,8 +19,8 @@ from test_losses import discrete_gf_oracle, spaced_unit_scores
 
 from fairod import cli
 from fairod.claimcheck import enumerate_populations, verify_claim1, verify_claim2
-from fairod.dataset import group_view, make_synth1, make_synth2, standardize
-from fairod.detector import AEConfig, init_params, score
+from fairod.dataset import make_synth1, make_synth2, standardize
+from fairod.detector import AEConfig, init_params
 from fairod.evalmetrics import (
     ScoreSet,
     ap_ratio,

@@ -11,8 +11,11 @@ from fairod.detector import (
     hidden_size_rule,
     init_params,
     reconstruct,
+    reconstruct_graph,
     score,
+    score_graph,
 )
+from fairod.numgrad import as_var
 
 
 def zero_params(d, m):
@@ -79,6 +82,18 @@ def test_score_batch_matches_rowwise(rng):
     rows = np.array([score(p, X[i])[0] if score(p, X[i]).ndim else score(p, X[i])
                      for i in range(8)])
     assert_allclose(batch, rows, atol=1e-12, rtol=0)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 300))
+def test_numpy_forward_is_the_tape_forward_bit_for_bit(seed, d, n):
+    # scoring and reconstruction run the training forward pass; the tape's
+    # value path must see the same bits
+    rng = np.random.default_rng(seed)
+    p = init_params(AEConfig.for_dim(d, seed=seed))
+    X = rng.normal(size=(n, d)) * 3.0
+    tape = {k: as_var(v) for k, v in p.to_dict().items()}
+    assert score(p, X).tobytes() == score_graph(tape, X).value.tobytes()
+    assert reconstruct(p, X).tobytes() == reconstruct_graph(tape, X).value.tobytes()
 
 
 def test_shape_mismatch_raises():

@@ -1,8 +1,8 @@
 """Loss tests.  The group-fidelity loss is checked against a test-local
 discrete-rank oracle (sorting and exact DCG arithmetic, no sigmoids), the
 blocked smoothed-rank node against the dense pair-matrix node it replaced
-and a per-pair oracle with exact row sums, and correlations against
-numpy's corrcoef."""
+and a per-pair oracle with exact row sums, correlations against numpy's
+corrcoef, and the fused loss and gradient against the tape."""
 
 import math
 import tracemalloc
@@ -11,11 +11,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
 
-from fairod.dataset import group_view, LabeledDataset
 from fairod.detector import AEConfig, init_params, score
 from fairod.losses import (
+    VARIANTS,
     BaseScoreSet,
     DegenerateInputWarning,
     LossWeights,
@@ -30,7 +29,15 @@ from fairod.losses import (
     smooth_rank,
     total_loss,
 )
-from fairod.numgrad import as_var, eval_loss_grad_components, finite_diff_grad, leaf
+from fairod.numgrad import (
+    NumericalOverflowError,
+    as_var,
+    eval_loss_grad_components,
+    finite_diff_grad,
+    leaf,
+    tape_loss_grad_components,
+)
+from fairod.training import _batch_groups, _slice_base
 
 
 def groups_of(pv):
@@ -499,6 +506,73 @@ def test_gradients_match_finite_differences_all_variants(rng):
         for k in got:
             denom = np.maximum(np.abs(want[k]), 1e-8)
             assert np.max(np.abs(got[k] - want[k]) / denom) < 1e-4
+
+
+# -- the fused loss and gradient against the tape oracle ---------------------------------
+
+
+def assert_fused_matches_tape(params, X, spec):
+    """Same loss and component bits as the tape; each gradient array within
+    1e-10 of the tape's, relative to that array's largest entry.  A term
+    whose gradient vanishes in exact arithmetic (|corr| of two rows, a
+    saturated sigmoid rank) leaves both paths with rounding of O(1)
+    contributions, hence the 1e-6 floor under that entry."""
+    loss, grads, comps = eval_loss_grad_components(params, X, spec)
+    t_loss, t_grads, t_comps = tape_loss_grad_components(params, X, spec)
+    assert loss == t_loss and comps == t_comps
+    assert grads.keys() == t_grads.keys()
+    for k, want in t_grads.items():
+        assert grads[k].shape == want.shape and np.all(np.isfinite(grads[k]))
+        assert np.abs(grads[k] - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-6), k
+
+
+def batch_spec(variant, weights, pv, base, rows):
+    """A spec for the batch `rows`, built the way the training loop builds it."""
+    pv_b = pv[rows]
+    groups_b = _batch_groups(pv_b)
+    return TotalLossSpec(variant=variant, weights=weights,
+                         pv=None if variant == "base_only" else pv_b,
+                         base=_slice_base(base, rows, groups_b), groups=groups_b)
+
+
+def perturbed_params(rng, d):
+    p = init_params(AEConfig(d, 2, seed=int(rng.integers(1000)))).to_dict()
+    return {k: v + rng.normal(scale=0.3, size=v.shape) for k, v in p.items()}
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(VARIANTS), st.booleans(),
+       st.sampled_from([0.0, 0.01, 0.5, 1.0]), st.sampled_from([0.0, 0.1, 1.0]))
+def test_fused_loss_and_grad_match_the_tape(seed, variant, sliced, alpha, gamma):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 200)), int(rng.integers(1, 5))
+    X = rng.normal(size=(n, d))
+    pv = rng.integers(0, int(rng.integers(2, 4)), size=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        base = BaseScoreSet.from_scores(rng.exponential(size=n), groups_of(pv))
+        rows = rng.permutation(n)[:64] if sliced else slice(None)
+        spec = batch_spec(variant, LossWeights(alpha, gamma), pv, base, rows)
+    assert_fused_matches_tape(perturbed_params(rng, d), X[rows], spec)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_grad_on_batch_missing_a_group_or_with_a_singleton(variant, rng):
+    X = rng.normal(size=(40, 3))
+    pv = np.array([0] * 30 + [1] * 10)
+    base = BaseScoreSet.from_scores(rng.exponential(size=40), groups_of(pv))
+    params = perturbed_params(rng, 3)
+    for rows in (np.arange(8, 24), np.r_[0:15, 35]):  # group 1 absent; group 1 one row
+        spec = batch_spec(variant, LossWeights(0.5, 0.5), pv, base, rows)
+        assert_fused_matches_tape(params, X[rows], spec)
+
+
+def test_fused_loss_names_the_non_finite_term(rng):
+    X, pv, groups, params, base = setup_net(rng)
+    spec = TotalLossSpec(variant="fairod", weights=LossWeights(0.5, 0.1),
+                         pv=pv, base=base, groups=groups)
+    huge = {k: v * 1e200 for k, v in params.to_dict().items()}
+    with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="loss_base"):
+        eval_loss_grad_components(huge, X, spec)
 
 
 def test_loss_weight_validation():

@@ -1,22 +1,24 @@
-"""Gradient engine tests: every analytic gradient is checked against the
-central finite-difference oracle, and Adam against hand-computed steps."""
+"""Gradient engine tests: every analytic gradient of the tape is checked
+against the central finite-difference oracle, and Adam against
+hand-computed steps and an array-by-array update."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from fairod import numgrad
 from fairod.numgrad import (
+    ADAM_B1,
+    ADAM_B2,
+    ADAM_EPS,
     NumericalOverflowError,
-    Var,
     adam_step,
     as_var,
     eval_loss,
-    eval_loss_grad_components,
     finite_diff_grad,
     init_adam,
     leaf,
+    tape_loss_grad_components,
 )
 
 
@@ -39,7 +41,7 @@ def max_rel_err(analytic, numeric):
 
 
 def check_grads(params, batch, spec, tol=1e-4):
-    _, got = eval_loss_grad_components(params, batch, spec)[:2]
+    _, got = tape_loss_grad_components(params, batch, spec)[:2]
     want = finite_diff_grad(params, batch, spec)
     assert max_rel_err(got, want) < tol
 
@@ -118,7 +120,7 @@ def test_composite_function_matches_finite_differences(seed):
         return s.sum() * 0.1 + centered.abs().sum() / (var.sqrt() + 1e-8)
 
     params2 = {k: v.copy() for k, v in params.items()}
-    _, got = eval_loss_grad_components(params, x, FnSpec(fn))[:2]
+    _, got = tape_loss_grad_components(params, x, FnSpec(fn))[:2]
     want = finite_diff_grad(params2, x, FnSpec(fn))
     assert max_rel_err(got, want) < 1e-4
 
@@ -129,7 +131,7 @@ def test_composite_function_matches_finite_differences(seed):
 def test_untouched_params_get_zero_grads(rng):
     params = {"a": rng.normal(size=(2,)), "unused": rng.normal(size=(3, 3))}
     spec = FnSpec(lambda p, _: (p["a"] * p["a"]).sum())
-    _, grads = eval_loss_grad_components(params, np.zeros(1), spec)[:2]
+    _, grads = tape_loss_grad_components(params, np.zeros(1), spec)[:2]
     assert np.array_equal(grads["unused"], np.zeros((3, 3)))
 
 
@@ -159,8 +161,8 @@ def test_eval_is_deterministic(rng):
     params = {"w": rng.normal(size=(3, 3))}
     x = rng.normal(size=(4, 3))
     spec = FnSpec(lambda p, b: ((as_var(b) @ p["w"]).tanh()).sum())
-    l1, g1 = eval_loss_grad_components(params, x, spec)[:2]
-    l2, g2 = eval_loss_grad_components(params, x, spec)[:2]
+    l1, g1 = tape_loss_grad_components(params, x, spec)[:2]
+    l2, g2 = tape_loss_grad_components(params, x, spec)[:2]
     assert l1 == l2
     assert all(np.array_equal(g1[k], g2[k]) for k in g1)
 
@@ -174,7 +176,7 @@ def test_eval_loss_matches_grad_path_value(rng):
         return (y * y).sum()
 
     spec = FnSpec(fn)
-    assert eval_loss(params, x, spec) == eval_loss_grad_components(params, x, spec)[0]
+    assert eval_loss(params, x, spec) == tape_loss_grad_components(params, x, spec)[0]
 
 
 def test_finite_diff_on_quadratic():
@@ -196,70 +198,111 @@ def test_finite_diff_on_constant_loss():
 
 def test_adam_first_step_hand_example():
     # theta=0, g=1, lr=0.1: m_hat=1, v_hat=1 -> theta1 = -0.1/(1+1e-8)
-    params = {"t": np.array([0.0])}
-    state = init_adam(params, lr=0.1)
-    out, state = adam_step(state, params, {"t": np.array([1.0])})
-    assert_allclose(out["t"], [-0.1 / (1.0 + 1e-8)], rtol=0, atol=1e-18)
+    theta = np.array([0.0])
+    state = init_adam(theta, lr=0.1)
+    adam_step(state, theta, np.array([1.0]))
+    assert_allclose(theta, [-0.1 / (1.0 + 1e-8)], rtol=0, atol=1e-18)
     assert state.step == 1
 
 
 def test_adam_two_steps_hand_example():
     # second step with g=1 again, computed by hand:
     # m2=0.19, v2=0.001999, m_hat=1, v_hat=1 -> another full -0.1/(1+1e-8)
-    params = {"t": np.array([0.0])}
-    g = {"t": np.array([1.0])}
-    state = init_adam(params, lr=0.1)
-    p1, state = adam_step(state, params, g)
-    p2, state = adam_step(state, p1, g)
+    theta = np.array([0.0])
+    g = np.array([1.0])
+    state = init_adam(theta, lr=0.1)
+    adam_step(state, theta, g)
+    p1 = theta.copy()
+    adam_step(state, theta, g)
     m2 = 0.9 * 0.1 + 0.1 * 1.0
     v2 = 0.999 * 0.001 + 0.001 * 1.0
     mh = m2 / (1 - 0.9 ** 2)
     vh = v2 / (1 - 0.999 ** 2)
-    want = p1["t"] - 0.1 * mh / (np.sqrt(vh) + 1e-8)
-    assert_allclose(p2["t"], want, rtol=1e-15)
+    want = p1 - 0.1 * mh / (np.sqrt(vh) + 1e-8)
+    assert_allclose(theta, want, rtol=1e-15)
 
 
 def test_adam_deterministic_and_shape_preserving(rng):
-    params = {"w": rng.normal(size=(4, 2)), "b": rng.normal(size=(2,))}
-    grads = {"w": rng.normal(size=(4, 2)), "b": rng.normal(size=(2,))}
-    s1 = init_adam(params, lr=0.01)
-    s2 = init_adam(params, lr=0.01)
-    o1, _ = adam_step(s1, params, grads)
-    o2, _ = adam_step(s2, params, grads)
-    for k in params:
-        assert o1[k].shape == params[k].shape
-        assert np.array_equal(o1[k], o2[k])
+    theta = rng.normal(size=10)
+    grad = rng.normal(size=10)
+    t1, t2 = theta.copy(), theta.copy()
+    adam_step(init_adam(t1, lr=0.01), t1, grad)
+    adam_step(init_adam(t2, lr=0.01), t2, grad)
+    assert t1.shape == theta.shape
+    assert np.array_equal(t1, t2) and not np.array_equal(t1, theta)
 
 
 def test_adam_zero_gradient_leaves_params_and_decays_moments():
-    params = {"t": np.array([2.0])}
-    zero = {"t": np.array([0.0])}
-    state = init_adam(params, lr=0.1)
-    out, state = adam_step(state, params, zero)
-    assert np.array_equal(out["t"], params["t"])
+    theta = np.array([2.0])
+    zero = np.array([0.0])
+    state = init_adam(theta, lr=0.1)
+    adam_step(state, theta, zero)
+    assert np.array_equal(theta, [2.0])
     # nonzero moments decay toward zero under zero gradients
-    state.m["t"][:] = 1.0
-    state.v["t"][:] = 1.0
-    _, state = adam_step(state, out, zero)
-    assert state.m["t"][0] == 0.9 and state.v["t"][0] == 0.999
+    state.m[:] = 1.0
+    state.v[:] = 1.0
+    adam_step(state, theta, zero)
+    assert state.m[0] == 0.9 and state.v[0] == 0.999
 
 
 def test_adam_constant_gradient_moves_monotonically():
-    params = {"t": np.array([0.0])}
-    g = {"t": np.array([1.0])}
-    state = init_adam(params, lr=0.1)
-    prev = params["t"][0]
+    theta = np.array([0.0])
+    g = np.array([1.0])
+    state = init_adam(theta, lr=0.1)
+    prev = theta[0]
     for _ in range(10):
-        params, state = adam_step(state, params, g)
-        assert params["t"][0] < prev
-        prev = params["t"][0]
+        adam_step(state, theta, g)
+        assert theta[0] < prev
+        prev = theta[0]
 
 
 def test_adam_descends_on_quadratic():
-    params = {"t": np.array([3.0])}
-    state = init_adam(params, lr=0.05)
+    theta = np.array([3.0])
+    params = {"t": theta}
+    state = init_adam(theta, lr=0.05)
     spec = FnSpec(lambda p, _: (p["t"] * p["t"]).sum())
     for _ in range(400):
-        _, g = eval_loss_grad_components(params, np.zeros(1), spec)[:2]
-        params, state = adam_step(state, params, g)
-    assert abs(params["t"][0]) < 1e-2
+        _, g = tape_loss_grad_components(params, np.zeros(1), spec)[:2]
+        adam_step(state, theta, g["t"])
+    assert abs(theta[0]) < 1e-2
+
+
+def per_array_adam_step(lr, t, params, grads, m, v):
+    """Adam updated array by array, as the dict-keyed optimizer did."""
+    out = {}
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = ADAM_B1 * m[k] + (1.0 - ADAM_B1) * g
+        v[k] = ADAM_B2 * v[k] + (1.0 - ADAM_B2) * (g * g)
+        m_hat = m[k] / (1.0 - ADAM_B1 ** t)
+        v_hat = v[k] / (1.0 - ADAM_B2 ** t)
+        out[k] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return out
+
+
+def test_flat_adam_is_bit_identical_to_per_array_adam():
+    # the detector's six arrays for d=5, m=2, gradients spanning many scales
+    rng = np.random.default_rng(3)
+    shapes = {"W_enc1": (5, 2), "b_enc1": (2,), "W_dec1": (2, 2), "b_dec1": (2,),
+              "W_out": (2, 5), "b_out": (5,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    theta = np.concatenate([a.ravel() for a in params.values()])
+    state = init_adam(theta, lr=0.05)
+    for t in range(1, 5001):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 4)
+                 for k, s in shapes.items()}
+        params = per_array_adam_step(0.05, t, params, grads, m, v)
+        adam_step(state, theta, np.concatenate([g.ravel() for g in grads.values()]))
+    assert state.step == 5000
+    assert theta.tobytes() == np.concatenate([a.ravel() for a in params.values()]).tobytes()
+    assert state.m.tobytes() == np.concatenate([a.ravel() for a in m.values()]).tobytes()
+    assert state.v.tobytes() == np.concatenate([a.ravel() for a in v.values()]).tobytes()
+
+
+def test_adam_overflow_raises_named_error():
+    theta = np.array([1e308])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalOverflowError, match="adam_step"):
+            adam_step(init_adam(theta, lr=1e308), theta, np.array([-1.0]))

@@ -247,6 +247,19 @@ def test_minibatch_fairod_runs():
     assert any(v != 0.0 for v in fo.trace["gf"])
 
 
+def test_minibatches_missing_a_group_or_with_a_singleton_train_finitely():
+    ds = tiny_ds(n=24, seed=4)  # 16 rows of group 0, 8 of group 1
+    order = np.random.default_rng(6).permutation(ds.n)  # the first epoch's batches
+    minority = [int(ds.pv[order[i:i + 3]].sum()) for i in range(0, ds.n, 3)]
+    assert 0 in minority and 1 in minority
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=10, seed=1))
+    for variant in ("fairod", "fairod_l", "fairod_c"):
+        fit = fit_fairod(ds, base, TrainConfig(variant=variant, alpha=0.5, gamma=0.5,
+                                               epochs=5, seed=6, batch_size=3))
+        assert np.all(np.isfinite(fit.scores))
+        assert all(np.all(np.isfinite(v)) for v in fit.trace.values())
+
+
 def test_batch_covering_all_rows_matches_full_batch():
     # one shuffled batch sums the same terms as the full batch in another order
     ds = tiny_ds(n=40, seed=9)
