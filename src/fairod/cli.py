@@ -377,6 +377,9 @@ def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> int:
     base = _load_fit(inputs["base"])
     base = replace(base, scores=_rescore(base, ds, inputs["base"]))
     cfg_common = _train_config(config, "fairod")
+    for alpha in config["alpha_grid"]:
+        for gamma in config["gamma_grid"]:
+            _train_config(config | {"alpha": alpha, "gamma": gamma}, "fairod")
     results = grid_search(ds, base,
                           grid={"alpha": list(config["alpha_grid"]),
                                 "gamma": list(config["gamma_grid"])},

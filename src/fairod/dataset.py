@@ -83,9 +83,15 @@ class LabeledDataset:
 GroupView = dict[int, np.ndarray]
 
 
+def pv_groups(pv: np.ndarray) -> GroupView:
+    """Group id -> ascending positions in pv, ids ascending; the lists
+    partition 0..len(pv)-1.  A dataset and a training batch are grouped here."""
+    return {int(g): np.flatnonzero(pv == g) for g in np.unique(pv)}
+
+
 def group_view(ds: LabeledDataset) -> GroupView:
-    """Group id -> ascending row indices; the lists partition 0..N-1."""
-    return {int(g): np.flatnonzero(ds.pv == g) for g in np.unique(ds.pv)}
+    """Group id -> ascending row indices of the dataset."""
+    return pv_groups(ds.pv)
 
 
 # -- CSV interchange -------------------------------------------------------------
@@ -151,6 +157,8 @@ def load_csv(path) -> LabeledDataset:
     pv_ix = header.index("pv")
     lab_ix = header.index("label") if "label" in header else None
     feat_ix = [j for j in range(len(header)) if j != pv_ix and j != lab_ix]
+    if not feat_ix:
+        raise SchemaError(f"{path}: no feature column besides 'pv' and 'label'")
 
     feats, pv_tokens, labels = [], [], []
     for line_no, row in enumerate(rows[1:], start=2):

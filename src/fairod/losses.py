@@ -2,10 +2,13 @@
 loss, the listwise group-fidelity loss with sigmoid-smoothed ranks, its
 correlation-based ablation, and the composite total loss.
 
-Training calls `TotalLossSpec.loss_and_grad`: one numpy pass per term
-over the score vector, each with a hand-written vector-Jacobian product
-(closed-form |Pearson| derivatives, the blocked smoothed-rank pullback),
-chained through the detector's pullback.  The public value functions and
+`TotalLossSpec.terms` states the objective once: which terms a variant
+sums, with which weights, in which order, under which names.  Both
+evaluators loop over that list.  Training calls
+`TotalLossSpec.loss_and_grad`: one numpy pass per term over the score
+vector, each with a hand-written vector-Jacobian product (closed-form
+|Pearson| derivatives, the blocked smoothed-rank pullback), chained through
+the detector's pullback.  The public value functions and
 `TotalLossSpec.components` build the same terms on the `numgrad` tape with
 the same operations in the same order, so both paths give the same loss
 bits; the tape's gradient is the oracle the fused one is tested against.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GroupView
+from .dataset import GroupView, pv_groups
 from .detector import AutoencoderParams, score_and_pullback, score_graph
 from .numgrad import _LN2, NumericalOverflowError, Var, _assert_finite, as_var, eval_loss
 
@@ -52,11 +55,11 @@ class LossWeights:
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must be in [0,1]")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if self.c <= 0.0:
-            raise ValueError("c must be > 0")
+            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (0.0 < self.c < math.inf):
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
 
 
 # -- base scores -------------------------------------------------------------------
@@ -145,20 +148,22 @@ def pearson_abs_corr(u: np.ndarray, v: np.ndarray) -> float:
     return float(min(_pearson_abs_graph(as_var(u), v).value, 1.0))
 
 
-def _sp_terms(pv: np.ndarray) -> list[np.ndarray]:
-    """Indicator targets for the parity loss: pv itself when binary,
-    one one-hot column per group value otherwise."""
-    pv = np.asarray(pv)
-    values = np.unique(pv)
-    if values.size < 2:
+def _sp_terms(groups: GroupView, n: int) -> list[np.ndarray]:
+    """Indicator targets over n rows for the parity loss: the larger id's
+    membership when there are two groups, one column per group otherwise."""
+    ids = sorted(groups)
+    if len(ids) < 2:
         return []
-    if values.size == 2:
-        return [(pv == values.max()).astype(np.float64)]
-    return [(pv == g).astype(np.float64) for g in values]
+    targets = []
+    for g in ids[1:] if len(ids) == 2 else ids:
+        t = np.zeros(n)
+        t[groups[g]] = 1.0
+        targets.append(t)
+    return targets
 
 
-def loss_sp_graph(scores: Var, pv: np.ndarray) -> Var:
-    terms = _sp_terms(pv)
+def loss_sp_graph(scores: Var, groups: GroupView) -> Var:
+    terms = _sp_terms(groups, scores.shape[0])
     if not terms:
         return as_var(0.0)
     total = _pearson_abs_graph(scores, terms[0])
@@ -167,9 +172,9 @@ def loss_sp_graph(scores: Var, pv: np.ndarray) -> Var:
     return total
 
 
-def _loss_sp_vjp(scores: np.ndarray, pv: np.ndarray) -> tuple[float, np.ndarray]:
+def _loss_sp_vjp(scores: np.ndarray, groups: GroupView) -> tuple[float, np.ndarray]:
     value, grad = 0.0, np.zeros_like(scores)
-    for t in _sp_terms(pv):
+    for t in _sp_terms(groups, scores.size):
         v, g = _pearson_abs_vjp(scores, t)
         value += v
         grad += g
@@ -180,12 +185,13 @@ def loss_sp(scores: np.ndarray, pv: np.ndarray) -> float:
     """Statistical-parity loss: |corr(scores, group indicator)|, summed over
     one-hot columns when pv takes more than two values."""
     scores = np.asarray(scores, dtype=np.float64)
-    if np.unique(pv).size < 2:
+    groups = pv_groups(np.asarray(pv))
+    if len(groups) < 2:
         _warn("loss_sp: single-group pv, parity is undefined; returning 0")
         return 0.0
     if np.ptp(scores) == 0.0:
         _warn("loss_sp: constant scores; returning 0")
-    return float(loss_sp_graph(as_var(scores), pv).value)
+    return float(loss_sp_graph(as_var(scores), groups).value)
 
 
 # -- smoothed ranks and group fidelity ---------------------------------------------------
@@ -373,9 +379,15 @@ def loss_gf_corr(scores: np.ndarray, base: BaseScoreSet, groups: GroupView) -> f
 # -- composite ---------------------------------------------------------------------------
 
 
+def needs_base(variant: str, weights: LossWeights) -> bool:
+    """Whether the objective has the group-fidelity term, which reads base scores."""
+    return variant in ("fairod", "fairod_c") and weights.gamma > 0.0
+
+
 @dataclass
 class TotalLossSpec:
-    """Description of one composite loss, consumable by numgrad."""
+    """Description of one composite loss, consumable by numgrad.  Without
+    `groups`, the groups are the distinct values of pv."""
 
     variant: str
     weights: LossWeights
@@ -386,100 +398,87 @@ class TotalLossSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.variant in ("fairod", "fairod_c") and self.weights.gamma > 0.0 and self.base is None:
+        if needs_base(self.variant, self.weights) and self.base is None:
             raise ValueError(f"variant '{self.variant}' requires base scores")
         if self.variant != "base_only" and self.pv is None:
             raise ValueError(f"variant '{self.variant}' requires pv")
+        if self.groups is None and self.pv is not None:
+            self.groups = pv_groups(self.pv)
+
+    def terms(self) -> list[tuple]:
+        """The objective alpha L_base + (1 - alpha) L_sp + gamma L_gf (L_base
+        alone for `base_only`), stated once for both evaluators: (name, comps
+        key, weight, tape term, fused term) per term the total sums, in
+        summation order.  The tape term maps the scores Var to a Var; the
+        fused term maps the scores to the value and its gradient in them.  A
+        term whose weight is exactly 0 is left out, not multiplied by 0,
+        which keeps alpha=1/gamma=0 runs bit-identical to base-only runs.
+        Errors carry the name of the term, or of the first term when the
+        scores themselves fail."""
+        w, groups, base = self.weights, self.groups, self.base
+        terms = [("loss_base", "base", 1.0 if self.variant == "base_only" else w.alpha,
+                  Var.sum, lambda s: (s.sum(), np.ones_like(s)))]
+        if self.variant != "base_only":
+            terms.append(("loss_sp", "sp", 1.0 - w.alpha,
+                          lambda s: loss_sp_graph(s, groups),
+                          lambda s: _loss_sp_vjp(s, groups)))
+        if needs_base(self.variant, w):
+            if self.variant == "fairod":
+                terms.append(("loss_gf", "gf", w.gamma,
+                              lambda s: loss_gf_graph(s, base, groups, w.c),
+                              lambda s: _loss_gf_vjp(s, base, groups, w.c)))
+            else:
+                terms.append(("loss_gf_corr", "gf", w.gamma,
+                              lambda s: loss_gf_corr_graph(s, base, groups),
+                              lambda s: _loss_gf_corr_vjp(s, base, groups)))
+        return [t for t in terms if t[2] != 0.0]
 
     def components(self, param_vars: dict[str, Var], batch: np.ndarray
                    ) -> tuple[Var, dict[str, float]]:
-        """Total loss Var plus the raw (unweighted) component values.
-        Terms whose weight is exactly zero are skipped, not multiplied by 0,
-        which keeps alpha=1/gamma=0 runs bit-identical to base-only runs.
-        Skipped components are recorded as 0.0."""
-        w = self.weights
-        comps = {"base": 0.0, "sp": 0.0, "gf": 0.0}
-
-        def named(term: str, fn):
-            try:
-                return fn()
-            except NumericalOverflowError as e:
-                raise NumericalOverflowError(f"{term}: {e}") from None
-
-        scores = named("loss_base", lambda: score_graph(param_vars, batch))
-        l_base = scores.sum()
-        comps["base"] = float(l_base.value)
-        if self.variant == "base_only":
-            comps["total"] = float(l_base.value)
-            return l_base, comps
-
-        # alpha in [0,1], so at least one of the first two terms is present
-        terms = []
-        if w.alpha > 0.0:
-            terms.append(l_base * w.alpha)
-        if w.alpha < 1.0:
-            sp = named("loss_sp", lambda: loss_sp_graph(scores, self.pv))
-            comps["sp"] = float(sp.value)
-            terms.append(sp * (1.0 - w.alpha))
-        if w.gamma > 0.0 and self.variant in ("fairod", "fairod_c"):
-            if self.variant == "fairod":
-                gf = named("loss_gf", lambda: loss_gf_graph(scores, self.base, self.groups, w.c))
-            else:
-                gf = named("loss_gf_corr", lambda: loss_gf_corr_graph(scores, self.base, self.groups))
-            comps["gf"] = float(gf.value)
-            terms.append(gf * w.gamma)
-        total = sum(terms[1:], terms[0])
+        """Total loss Var of `terms` on the tape, plus the raw (unweighted)
+        term values.  A term left out records 0.0, except L_base: the
+        trace reads it at any alpha."""
+        terms = self.terms()
+        name, total = terms[0][0], None
+        try:
+            scores = score_graph(param_vars, batch)
+            comps = {"base": float(scores.sum().value), "sp": 0.0, "gf": 0.0}
+            for name, key, weight, tape_term, _ in terms:
+                term = tape_term(scores)
+                comps[key] = float(term.value)
+                total = term * weight if total is None else total + term * weight
+        except NumericalOverflowError as e:
+            raise NumericalOverflowError(f"{name}: {e}") from None
         comps["total"] = float(total.value)
         return total, comps
 
     def loss_and_grad(self, params: dict[str, np.ndarray], batch: np.ndarray
                       ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-        """Total loss, its gradient in each parameter array, and the raw
-        component values, without the tape.  Same skip rules and the same
-        loss and component bits as `components`."""
-        w = self.weights
-        comps = {"base": 0.0, "sp": 0.0, "gf": 0.0}
+        """Total loss of `terms`, its gradient in each parameter array, and
+        the raw term values, without the tape: the same loss and component
+        bits as `components`."""
+        terms = self.terms()
         scores, pullback = score_and_pullback(params, np.asarray(batch, dtype=np.float64))
-        total = scores.sum()
-        if not math.isfinite(total):  # scores are >= 0: finite iff every score is
-            raise NumericalOverflowError("loss_base: non-finite scores")
-        comps["base"] = float(total)
-        g = np.ones_like(scores)
-        if self.variant != "base_only":
-            # alpha in [0,1], so at least one of the first two terms is present
-            terms = []
-            g *= w.alpha
-            if w.alpha > 0.0:
-                terms.append(total * w.alpha)
-            if w.alpha < 1.0:
-                sp, g_sp = _checked("loss_sp", *_loss_sp_vjp(scores, self.pv))
-                comps["sp"] = sp
-                terms.append(sp * (1.0 - w.alpha))
-                g += (1.0 - w.alpha) * g_sp
-            if w.gamma > 0.0 and self.variant in ("fairod", "fairod_c"):
-                if self.variant == "fairod":
-                    gf, g_gf = _checked("loss_gf", *_loss_gf_vjp(
-                        scores, self.base, self.groups, w.c))
-                else:
-                    gf, g_gf = _checked("loss_gf_corr", *_loss_gf_corr_vjp(
-                        scores, self.base, self.groups))
-                comps["gf"] = gf
-                terms.append(gf * w.gamma)
-                g += w.gamma * g_gf
-            total = sum(terms[1:], terms[0])
+        comps = {"base": float(scores.sum()), "sp": 0.0, "gf": 0.0}
+        if not math.isfinite(comps["base"]):  # scores are >= 0: finite iff every score is
+            raise NumericalOverflowError(f"{terms[0][0]}: non-finite scores")
+        total = g = None
+        for name, key, weight, _, fused_term in terms:
+            value, grad = fused_term(scores)  # grad is a fresh array, scaled in place
+            if not math.isfinite(value + grad.sum()):
+                raise NumericalOverflowError(f"{name}: non-finite value or gradient")
+            comps[key] = float(value)
+            grad *= weight
+            if total is None:
+                total, g = value * weight, grad
+            else:
+                total += value * weight
+                g += grad
         comps["total"] = float(total)
         grads = pullback(g)
         for k, v in grads.items():
             _assert_finite(v, f"grad[{k}]")
         return float(total), grads, comps
-
-
-def _checked(term: str, value: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
-    """One loss term's value and gradient on the scores, or
-    NumericalOverflowError naming the term."""
-    if not math.isfinite(value + grad.sum()):
-        raise NumericalOverflowError(f"{term}: non-finite value or gradient")
-    return value, grad
 
 
 def loss_base(params: AutoencoderParams, batch: np.ndarray) -> float:
@@ -493,7 +492,5 @@ def total_loss(params: AutoencoderParams, batch: np.ndarray, pv: np.ndarray | No
                groups: GroupView | None = None) -> float:
     """Composite objective value for any variant; see TotalLossSpec.
     Without `groups`, the groups are the distinct values of pv."""
-    if groups is None and pv is not None:
-        groups = {int(g): np.flatnonzero(pv == g) for g in np.unique(pv)}
     spec = TotalLossSpec(variant=variant, weights=weights, pv=pv, base=base, groups=groups)
     return eval_loss(params.to_dict(), np.asarray(batch, dtype=np.float64), spec)

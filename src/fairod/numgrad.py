@@ -9,7 +9,11 @@ forward and backward pass.  The tape is the independent check on that
 pass: a spec's `components(param_vars, batch) -> (Var, dict[str, float])`
 builds the scalar loss node over leaf Vars keyed like the parameter dict,
 `tape_loss_grad_components` differentiates it, and `eval_loss` (the
-value-only path, which `finite_diff_grad` perturbs) evaluates it.
+value-only path, which `finite_diff_grad` perturbs) evaluates it.  For
+`losses.TotalLossSpec` both passes loop over one statement of the
+objective's terms, `TotalLossSpec.terms`, so they cannot disagree on which
+terms are summed, with which weights, or in which order.  The tape keeps
+only the operations those losses and the detector use.
 
 Everything is deterministic: no randomness, no threading, accumulation
 order fixed by graph construction order.
@@ -78,9 +82,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Var(-self.value, (self,), (lambda g: -g,), "neg")
-
     def __sub__(self, other):
         other = as_var(other)
         a, b = self.value, other.value
@@ -107,9 +108,6 @@ class Var:
                    (lambda g: _unbroadcast(g / b, a.shape),
                     lambda g: _unbroadcast(-g * a / (b * b), b.shape)), "div")
 
-    def __rtruediv__(self, other):
-        return as_var(other) / self
-
     def __matmul__(self, other):
         other = as_var(other)
         a, b = self.value, other.value
@@ -131,11 +129,6 @@ class Var:
         n = self.value.size
         return self.sum() * (1.0 / n)
 
-    def reshape(self, shape):
-        a = self.value
-        return Var(a.reshape(shape), (self,),
-                   (lambda g: g.reshape(a.shape),), "reshape")
-
     def take_rows(self, idx):
         """Gather rows (leading-axis entries) at integer positions `idx`."""
         a = self.value
@@ -153,10 +146,6 @@ class Var:
     def tanh(self):
         t = np.tanh(self.value)
         return Var(t, (self,), (lambda g: g * (1.0 - t * t),), "tanh")
-
-    def exp(self):
-        e = np.exp(self.value)
-        return Var(e, (self,), (lambda g: g * e,), "exp")
 
     def log(self):
         a = self.value

@@ -15,10 +15,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .dataset import GroupView, LabeledDataset, group_view
+from .dataset import GroupView, LabeledDataset, group_view, pv_groups
 from .detector import AEConfig, AutoencoderParams, init_params, score
 from .evalmetrics import ScoreSet, fairness_metric, group_fidelity
-from .losses import VARIANTS, BaseScoreSet, LossWeights, TotalLossSpec, idcg_group
+from .losses import VARIANTS, BaseScoreSet, LossWeights, TotalLossSpec, idcg_group, needs_base
 from .numgrad import adam_step, eval_loss_grad_components, init_adam
 
 ALPHA_GRID = (0.01, 0.5, 0.9)
@@ -47,8 +47,8 @@ class TrainConfig:
             raise ValueError("flag_fraction must be in (0,1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not (0.0 < self.lr < np.inf):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 or None")
         if self.variant not in VARIANTS:
@@ -116,10 +116,6 @@ def _slice_base(base: BaseScoreSet, rows: np.ndarray | slice,
     )
 
 
-def _batch_groups(pv_batch: np.ndarray) -> GroupView:
-    return {int(g): np.flatnonzero(pv_batch == g) for g in np.unique(pv_batch)}
-
-
 def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
              base_set: BaseScoreSet | None) -> FitResult:
     cfg_run = replace(cfg, variant=variant)
@@ -146,7 +142,7 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
             rows = slice(None) if order is None else order[start:start + batch_size]
             X_b = X[rows]
             pv_b = None if pv is None else pv[rows]
-            groups_b = None if pv_b is None else _batch_groups(pv_b)
+            groups_b = None if pv_b is None else pv_groups(pv_b)
             base_b = None if base_set is None else _slice_base(base_set, rows, groups_b)
             spec = TotalLossSpec(variant=variant, weights=cfg.weights, pv=pv_b,
                                  base=base_b, groups=groups_b)
@@ -197,7 +193,7 @@ def fit_fairod(ds: LabeledDataset, base: FitResult, cfg: TrainConfig) -> FitResu
     if base_scores.shape != (ds.n,):
         raise ValueError("base scores do not cover this dataset")
     base_set = None
-    if cfg.variant in ("fairod", "fairod_c") and cfg.gamma > 0.0:
+    if needs_base(cfg.variant, cfg.weights):
         base_set = BaseScoreSet.from_scores(base_scores, group_view(ds))
     return _run_fit(ds, cfg, cfg.variant, base_set)
 

@@ -105,6 +105,26 @@ class TestTrain:
         assert code == cli.EXIT_USAGE
         assert "--base is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--alpha", "nan"),
+                                             ("--lr", "inf"), ("--c", "nan"),
+                                             ("--gamma", "inf")])
+    def test_non_finite_hyperparameter_is_usage_error(self, work, tmp_path, capsys,
+                                                      flag, value):
+        code = run("train", "--data", work["data"], "--variant", "fairod",
+                   "--base", work["base"], "--seed", 1, "--epochs", 2, flag, value,
+                   "--out", tmp_path)
+        assert code == cli.EXIT_USAGE
+        assert f"usage error: {flag[2:]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_csv_without_feature_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "nofeat.csv"
+        data.write_text("pv\na\na\nb\nb\n")
+        code = run("train", "--data", data, "--variant", "base", "--seed", 1,
+                   "--epochs", 2, "--out", tmp_path / "out")
+        assert code == cli.EXIT_DATA
+        assert "feature column" in capsys.readouterr().err
+
     def test_missing_data_is_data_error(self, tmp_path):
         code = run("train", "--data", tmp_path / "nope.csv", "--variant", "base",
                    "--seed", 1, "--out", tmp_path)
@@ -293,6 +313,16 @@ class TestGrid:
                    "--out", tmp_path / "ser") == 0
         assert ((tmp_path / "par" / "grid.csv").read_bytes()
                 == (tmp_path / "ser" / "grid.csv").read_bytes())
+
+    @pytest.mark.parametrize("flag, value", [("--alpha-grid", "0.5,2.0"),
+                                             ("--gamma-grid", "nan"),
+                                             ("--gamma-grid", "0.1,inf")])
+    def test_bad_grid_value_is_usage_error(self, work, tmp_path, capsys, flag, value):
+        code = run("grid", "--data", work["data"], "--base", work["base"],
+                   "--seed", 3, "--epochs", 2, flag, value, "--out", tmp_path)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_bad_jobs_is_usage_error(self, work, tmp_path):
         assert run("grid", "--data", work["data"], "--base", work["base"],

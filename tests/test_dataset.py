@@ -59,6 +59,15 @@ def test_load_csv_missing_pv_column(tmp_path):
         load_csv(f)
 
 
+@pytest.mark.parametrize("text", ["pv\nm\nm\nf\nf\n", "label,pv\n0,m\n1,m\n0,f\n0,f\n"],
+                         ids=["pv", "label-pv"])
+def test_load_csv_without_feature_column(tmp_path, text):
+    f = tmp_path / "d.csv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match="feature column"):
+        load_csv(f)
+
+
 def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("f_0,pv\n1,m\noops,m\n2,f\n3,f\n", encoding="utf-8")

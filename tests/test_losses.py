@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fairod.dataset import pv_groups
 from fairod.detector import AEConfig, init_params, score
 from fairod.losses import (
     VARIANTS,
@@ -37,7 +38,7 @@ from fairod.numgrad import (
     leaf,
     tape_loss_grad_components,
 )
-from fairod.training import _batch_groups, _slice_base
+from fairod.training import _slice_base
 
 
 def groups_of(pv):
@@ -529,7 +530,7 @@ def assert_fused_matches_tape(params, X, spec):
 def batch_spec(variant, weights, pv, base, rows):
     """A spec for the batch `rows`, built the way the training loop builds it."""
     pv_b = pv[rows]
-    groups_b = _batch_groups(pv_b)
+    groups_b = pv_groups(pv_b)
     return TotalLossSpec(variant=variant, weights=weights,
                          pv=None if variant == "base_only" else pv_b,
                          base=_slice_base(base, rows, groups_b), groups=groups_b)

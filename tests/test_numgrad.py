@@ -74,7 +74,7 @@ def test_elementwise_grads(rng):
 
     def fn(p, _):
         a = p["a"]
-        return (a.tanh() + (a * 0.1).exp()).sum()
+        return (a.tanh() + (a * 0.1).tanh() * a).sum()
 
     check_grads(params, np.zeros(1), FnSpec(fn))
 
@@ -89,15 +89,15 @@ def test_log_sqrt_abs_grads(rng):
     check_grads(params, np.zeros(1), FnSpec(fn))
 
 
-def test_sum_axis_mean_reshape_take_rows_grads(rng):
-    params = {"a": rng.normal(size=(4, 3))}
+def test_sum_axis_mean_take_rows_outer_broadcast_grads(rng):
+    params = {"a": rng.normal(size=(4, 3)), "col": rng.normal(size=(12, 1)),
+              "row": rng.normal(size=(1, 12))}
     idx = np.array([2, 0, 2])
 
     def fn(p, _):
-        a = p["a"]
-        rows = a.take_rows(idx)          # repeated index: grads must accumulate
+        rows = p["a"].take_rows(idx)     # repeated index: grads must accumulate
         m = rows.sum(axis=1).mean()
-        outer = a.reshape((12, 1)) - a.reshape((1, 12))
+        outer = p["col"] - p["row"]      # both sides broadcast to (12, 12)
         return m + (outer * outer).sum() * 0.01
 
     check_grads(params, np.zeros(1), FnSpec(fn))
@@ -151,8 +151,8 @@ def test_shared_subgraph_accumulates(rng):
 
 def test_overflow_raises_named_error():
     with np.errstate(over="ignore", divide="ignore"):
-        with pytest.raises(NumericalOverflowError, match="exp"):
-            as_var(np.array([1000.0])).exp()
+        with pytest.raises(NumericalOverflowError, match="mul"):
+            as_var(np.array([1e308])) * 10.0
         with pytest.raises(NumericalOverflowError, match="div"):
             as_var(np.array([1.0])) / as_var(np.array([0.0]))
 

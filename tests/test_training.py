@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,10 @@ def test_train_config_validation():
                 dict(lr=0.0), dict(batch_size=0), dict(variant="nope")):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    for key in ("alpha", "gamma", "c", "lr"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                TrainConfig(**{key: value})
 
 
 def test_train_config_default_grid_constants():
