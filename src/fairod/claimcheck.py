@@ -16,7 +16,6 @@ iff no counterexample is listed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -86,10 +85,6 @@ class FinitePopulation:
 
     def to_dict(self) -> dict:
         return {"cells": list(self.counts), "n": self.n, "rates": self.rates()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FinitePopulation":
-        return cls(counts=tuple(doc["cells"]))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -176,9 +171,6 @@ class ClaimVerdict:
             "counterexamples": list(self.counterexamples),
             "witness": self.witness,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _claim1_conclusion(pop: FinitePopulation) -> bool:

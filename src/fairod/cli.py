@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import fields, replace
 from datetime import datetime, timezone
@@ -38,7 +39,7 @@ from .dataset import (
     standardize,
 )
 from .evalmetrics import EvalReport, _real, build_report
-from .losses import BaseScoreSet
+from .losses import VARIANTS, BaseScoreSet
 from .numgrad import NumericalOverflowError
 from .training import (
     ALPHA_GRID,
@@ -75,14 +76,12 @@ def _as_bool(raw: str) -> bool:
     raise UsageError(f"not a boolean: {raw!r}")
 
 
-def _as_batch_size(raw: str) -> int | None:
-    low = raw.strip().lower()
-    return None if low in ("none", "") else int(raw)
-
-
-def _as_spread(raw: str) -> float | None:
-    low = raw.strip().lower()
-    return None if low in ("none", "") else float(raw)
+def _or_none(parse):
+    """`parse`, except that `none` or an empty value reads as None."""
+    def parse_or_none(raw: str):
+        return None if raw.strip().lower() in ("none", "") else parse(raw)
+    parse_or_none.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return parse_or_none
 
 
 def _as_synth_name(raw: str) -> str:
@@ -110,12 +109,12 @@ def _as_fraction(raw: str) -> float:
 # A replayed manifest's values go through the same parsers, `seed` included.
 _PARSERS = {
     "variant": str, "alpha": float, "gamma": float, "c": float, "lr": float,
-    "epochs": int, "batch_size": _as_batch_size, "flag_fraction": _as_fraction,
+    "epochs": int, "batch_size": _or_none(int), "flag_fraction": _as_fraction,
     "standardize": _as_bool, "verify_treatment_parity": _as_bool, "base_seeds": int,
     "alpha_grid": _as_float_list, "gamma_grid": _as_float_list, "jobs": int, "max_n": int,
     "seed": int,
     # synth has flags of its own (see build_parser); these parse its manifests
-    "name": _as_synth_name, "major": int, "minor": int, "outliers": int, "x1_std": _as_spread,
+    "name": _as_synth_name, "major": int, "minor": int, "outliers": int, "x1_std": _or_none(float),
 }
 _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)} | {
     "standardize": False, "verify_treatment_parity": False, "base_seeds": 5,
@@ -310,7 +309,7 @@ def _exec_synth(config: dict, inputs: dict, out_dir: Path) -> int:
 def _exec_train(config: dict, inputs: dict, out_dir: Path) -> int:
     started = _utcnow()
     variant = "base_only" if config["variant"] == "base" else config["variant"]
-    if variant not in ("base_only", "fairod", "fairod_l", "fairod_c"):
+    if variant not in VARIANTS:
         raise UsageError(f"unknown variant {config['variant']!r}")
     if variant != "base_only" and "base" not in inputs:
         raise UsageError(f"--base is required for variant {variant}")
@@ -496,6 +495,13 @@ def _exec_replay(manifest_path: str, out_dir: Path) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with `-` as an option unless
+        # it matches this pattern (by default a plain decimal); widened so
+        # that `-inf`, `-1e3` and `-0.5,0.5` reach the value checks.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -1,5 +1,5 @@
-"""Dataset container, CSV interchange, standardization, stratified
-downsampling, and the two synthetic generators.
+"""Dataset container, CSV interchange, standardization, and the two
+synthetic generators.
 
 CSV schema: feature columns (header order preserved), a categorical `pv`
 column, and an optional binary `label` column.  Floats are rendered with 17
@@ -9,8 +9,7 @@ significant digits so save/load round-trips are bit-exact.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,22 +30,20 @@ class ValidationError(DataError):
     """Dataset content violates an invariant (group sizes, label domain)."""
 
 
-class CapacityError(DataError):
-    """Requested subsample cannot be drawn from the available rows."""
-
-
 @dataclass
 class LabeledDataset:
     """Feature matrix with per-row group ids and optional outlier labels.
 
     pv ids are small integers with 0 = majority group a, 1 = minority b;
     ids >= 2 are allowed for multi-valued protected attributes.
+    `pv_tokens` maps each CSV pv token to its id; None when the ids are
+    written as they are.
     """
 
     features: np.ndarray
     pv: np.ndarray
     labels: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    pv_tokens: dict[str, int] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -103,10 +100,7 @@ def _fmt(x: float) -> str:
 
 def save_csv(ds: LabeledDataset, path) -> None:
     """Write `f_0..f_{d-1}, pv [, label]` with lossless float rendering."""
-    inverse = {}
-    tokens = ds.meta.get("pv_tokens")
-    if tokens:
-        inverse = {gid: tok for tok, gid in tokens.items()}
+    inverse = {gid: tok for tok, gid in (ds.pv_tokens or {}).items()}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         header = [f"f_{j}" for j in range(ds.d)] + ["pv"]
@@ -140,7 +134,7 @@ def load_csv(path) -> LabeledDataset:
     """Read a dataset CSV: a required `pv` column, an optional 0/1 `label`
     column, and every other column a feature.  pv tokens are mapped to ids
     with the most frequent token forced to 0 (majority); the mapping is
-    recorded in meta["pv_tokens"].
+    recorded in `pv_tokens`.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -189,7 +183,7 @@ def load_csv(path) -> LabeledDataset:
         features=np.array(feats, dtype=np.float64),
         pv=np.array([mapping[t] for t in pv_tokens], dtype=np.int64),
         labels=np.array(labels, dtype=np.int64) if lab_ix is not None else None,
-        meta={"pv_tokens": mapping},
+        pv_tokens=mapping,
     )
     return ds.validate()
 
@@ -207,67 +201,8 @@ def standardize(ds: LabeledDataset) -> LabeledDataset:
         features=(ds.features - mean) / np.where(std > 0.0, std, 1.0),
         pv=ds.pv.copy(),
         labels=None if ds.labels is None else ds.labels.copy(),
-        meta=dict(ds.meta),
+        pv_tokens=ds.pv_tokens,
     )
-
-
-def _floor_count(rate: float, n: int) -> int:
-    # guard against 0.05*2400 = 120.0000...01 style float artifacts
-    return int(math.floor(rate * n + 1e-9))
-
-
-def stratified_downsample(ds: LabeledDataset, group_ratio: float = 4.0,
-                          outlier_rate: float = 0.05, seed: int = 0) -> LabeledDataset:
-    """Largest subsample with majority:minority = group_ratio and the same
-    outlier fraction inside each group (counts rounded down), drawn uniformly
-    without replacement under the seed."""
-    if ds.labels is None:
-        raise ValidationError("stratified_downsample requires labels")
-    if group_ratio <= 0 or not (0 <= outlier_rate < 1):
-        raise ValidationError("group_ratio must be > 0 and outlier_rate in [0,1)")
-    view = group_view(ds)
-    if set(view) != {0, 1}:
-        raise ValidationError("stratified_downsample expects exactly groups 0 and 1")
-    pools = {}
-    for g, idx in view.items():
-        lab = ds.labels[idx]
-        pools[g] = {"in": idx[lab == 0], "out": idx[lab == 1]}
-
-    def feasible(n_b: int) -> tuple[int, int, int, int] | None:
-        n_a = _floor_count(group_ratio, n_b)
-        if n_a < 2 or n_b < 2:
-            return None
-        k_a, k_b = _floor_count(outlier_rate, n_a), _floor_count(outlier_rate, n_b)
-        if (k_a <= len(pools[0]["out"]) and n_a - k_a <= len(pools[0]["in"])
-                and k_b <= len(pools[1]["out"]) and n_b - k_b <= len(pools[1]["in"])):
-            return n_a, k_a, n_b, k_b
-        return None
-
-    best = None
-    for n_b in range(len(view[1]), 1, -1):
-        best = feasible(n_b)
-        if best:
-            break
-    if best is None:
-        raise CapacityError(
-            "cannot satisfy ratio %g with outlier rate %g: available per group "
-            "(inliers, outliers) = a:(%d, %d), b:(%d, %d)"
-            % (group_ratio, outlier_rate, len(pools[0]["in"]), len(pools[0]["out"]),
-               len(pools[1]["in"]), len(pools[1]["out"])))
-    n_a, k_a, n_b, k_b = best
-
-    rng = np.random.default_rng(seed)
-    chosen = []
-    for g, n_g, k_g in ((0, n_a, k_a), (1, n_b, k_b)):
-        chosen.append(rng.choice(pools[g]["out"], size=k_g, replace=False))
-        chosen.append(rng.choice(pools[g]["in"], size=n_g - k_g, replace=False))
-    keep = np.sort(np.concatenate(chosen))
-    meta = dict(ds.meta)
-    meta["downsample"] = {"group_ratio": group_ratio, "outlier_rate": outlier_rate,
-                          "seed": seed, "kept": int(keep.size)}
-    out = LabeledDataset(features=ds.features[keep], pv=ds.pv[keep],
-                         labels=ds.labels[keep], meta=meta)
-    return out.validate()
 
 
 # -- synthetic generators ----------------------------------------------------------
@@ -292,7 +227,7 @@ def _assemble(x1_a, x2_a, y_a, x1_b, x2_b, y_b) -> LabeledDataset:
                          np.ones(len(x1_b), dtype=np.int64)])
     labels = np.concatenate([y_a, y_b]).astype(np.int64)
     ds = LabeledDataset(features=features, pv=pv, labels=labels,
-                        meta={"pv_tokens": {"a": 0, "b": 1}})
+                        pv_tokens={"a": 0, "b": 1})
     return ds.validate()
 
 

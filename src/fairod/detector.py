@@ -2,19 +2,18 @@
 and reconstruction-error scoring.  Both hidden layers are tanh; the model
 file records that as `"activation": "tanh"` and no other value loads.
 
-One numpy forward pass serves scoring, reconstruction and training;
-`score_and_pullback` adds its hand-written backward pass over the six
-parameter arrays.  The tape versions (`reconstruct_graph`, `score_graph`)
-run the same operations in the same order, so their values are the same
-bits; they carry the value-only losses and the gradient oracle.
+One numpy forward pass serves scoring and training; `score_and_pullback`
+adds its hand-written backward pass over the six parameter arrays.  The
+tape version, `score_graph`, runs the same operations in the same order,
+so its values are the same bits; it carries the value-only losses and the
+gradient oracle.
 
-The scoring path is params-only by construction: neither `reconstruct` nor
-`score` accepts group information, so treatment parity is structural.
+The scoring path is params-only by construction: `score` accepts no group
+information, so treatment parity is structural.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +77,6 @@ class AutoencoderParams:
             arrays[k] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         return cls(**arrays)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AutoencoderParams":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -132,18 +124,12 @@ def score_and_pullback(params: dict[str, np.ndarray], X: np.ndarray):
     return scores, pullback
 
 
-def reconstruct_graph(param_vars: dict[str, Var], X: np.ndarray | Var) -> Var:
-    """Forward pass on the tape over a batch (N,d)."""
-    x = as_var(X)
-    h1 = (x @ param_vars["W_enc1"] + param_vars["b_enc1"]).tanh()
-    h2 = (h1 @ param_vars["W_dec1"] + param_vars["b_dec1"]).tanh()
-    return h2 @ param_vars["W_out"] + param_vars["b_out"]
-
-
 def score_graph(param_vars: dict[str, Var], X: np.ndarray | Var) -> Var:
     """Per-row squared reconstruction error on the tape, over a batch (N,d)."""
     x = as_var(X)
-    resid = x - reconstruct_graph(param_vars, x)
+    h1 = (x @ param_vars["W_enc1"] + param_vars["b_enc1"]).tanh()
+    h2 = (h1 @ param_vars["W_dec1"] + param_vars["b_dec1"]).tanh()
+    resid = x - (h2 @ param_vars["W_out"] + param_vars["b_out"])
     return (resid * resid).sum(axis=1)
 
 
@@ -155,13 +141,6 @@ def _as_batch(params: AutoencoderParams, X: np.ndarray) -> tuple[np.ndarray, boo
     if X.ndim not in (1, 2) or width != d:
         raise ValueError(f"input width {width} does not match detector input_dim {d}")
     return np.atleast_2d(X), X.ndim == 1
-
-
-def reconstruct(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:
-    """Deterministic reconstruction; accepts a row (d,) or batch (N,d)."""
-    batch, row = _as_batch(params, X)
-    out = _forward(params.to_dict(), batch)[2]
-    return out[0] if row else out
 
 
 def score(params: AutoencoderParams, X: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import GroupView, LabeledDataset, group_view
-from .losses import BaseScoreSet, idcg_group
+from .losses import BaseScoreSet
 
 
 def ceil_frac(f: float, n: int) -> int:
@@ -84,19 +84,18 @@ def fairness_metric(flags: np.ndarray, pv: np.ndarray) -> float | None:
 
 
 def ndcg_group(scores: np.ndarray, base_scores_norm: np.ndarray,
-               group_rows: np.ndarray, idcg: float | None = None) -> float | None:
+               group_rows: np.ndarray, idcg: float) -> float | None:
     """Hard-rank NDCG of the model's within-group ordering against gains
     2^s-1 from normalized base scores.  Ranks count members scoring at or
-    above each item, so tied items share the deeper rank.  Returns None for
-    an all-zero-relevance group.  `idcg` is the group's ideal DCG when the
-    caller holds it (`BaseScoreSet.idcg`); otherwise it is computed here."""
+    above each item, so tied items share the deeper rank.  `idcg` is the
+    group's ideal DCG (`BaseScoreSet.idcg`, or `losses.idcg_group` of the
+    group's normalized base scores).  Returns None for an all-zero-relevance
+    group."""
     rows = np.asarray(group_rows)
     if rows.size == 0:
         raise ValueError("ndcg_group needs a nonempty group")
     s = np.asarray(scores, dtype=np.float64)[rows]
     rel = np.exp2(np.asarray(base_scores_norm, dtype=np.float64)[rows]) - 1.0
-    if idcg is None:
-        idcg = idcg_group(np.asarray(base_scores_norm)[rows])
     if idcg == 0.0:
         return None
     sorted_s = np.sort(s)
@@ -124,7 +123,7 @@ def group_fidelity(scoreset: ScoreSet, base: BaseScoreSet, groups: GroupView) ->
     relevances; None if any group is degenerate."""
     if len(groups) < 2:
         raise ValueError("group_fidelity needs two or more groups")
-    return _fidelity([ndcg_group(scoreset.scores, base.normalized, groups[g])
+    return _fidelity([ndcg_group(scoreset.scores, base.normalized, groups[g], base.idcg[g])
                       for g in sorted(groups)])
 
 
@@ -249,19 +248,8 @@ class EvalReport:
             doc[name] = {str(g): v for g, v in getattr(self, name).items()}
         return doc | {"config": self.config, "notes": self.notes}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EvalReport":
-        per_group = {name: {int(g): v for g, v in doc[name].items()}
-                     for name, _, _ in _GROUP_FIELDS}
-        return cls(**{name: doc[name] for name in _SCALAR_FIELDS}, **per_group,
-                   config=doc.get("config", {}), notes=doc.get("notes", []))
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_json_dict(json.loads(text))
 
     @staticmethod
     def csv_header(group_ids: list[int]) -> list[str]:

@@ -31,7 +31,7 @@ from fairod.evalmetrics import (
     harmonic_mean,
     ndcg_group,
 )
-from fairod.losses import BaseScoreSet, LossWeights, TotalLossSpec, loss_gf, loss_sp
+from fairod.losses import BaseScoreSet, LossWeights, TotalLossSpec, idcg_group, loss_gf, loss_sp
 from fairod.numgrad import eval_loss_grad_components, finite_diff_grad
 from fairod.training import (
     TrainConfig,
@@ -236,9 +236,9 @@ def test_ac6_metric_unit_examples():
     # rank fidelity against a worst-case 3-member group
     scores = np.array([1.0, 2.0, 3.0])
     base_norm = np.array([1.0, 0.5, 0.0])
-    assert ndcg_group(scores, base_norm, np.arange(3)) == pytest.approx(
+    assert ndcg_group(scores, base_norm, np.arange(3), idcg_group(base_norm)) == pytest.approx(
         0.6035960689055047, abs=1e-9)
-    assert ndcg_group(scores, np.array([0.0, 0.5, 1.0]), np.arange(3)) == 1.0
+    assert ndcg_group(scores, base_norm[::-1], np.arange(3), idcg_group(base_norm)) == 1.0
     # harmonic mean conventions
     assert harmonic_mean([1.0, 0.5]) == pytest.approx(2 / 3)
     assert harmonic_mean([1.0, 0.5], literal=True) == pytest.approx(1 / 3)

@@ -1,7 +1,5 @@
-"""Dataset tests: CSV round-trip, token mapping, standardization,
-stratified downsampling, and the synthetic generators."""
-
-import math
+"""Dataset tests: CSV round-trip, token mapping, standardization, and the
+synthetic generators."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from fairod.dataset import (
-    CapacityError,
     LabeledDataset,
     ParseError,
     SchemaError,
@@ -21,7 +18,6 @@ from fairod.dataset import (
     make_synth2,
     save_csv,
     standardize,
-    stratified_downsample,
 )
 
 
@@ -36,7 +32,7 @@ def test_load_csv_maps_tokens_and_reads_features(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("f_0,f_1,pv\n1.5,2,m\n3,4,m\n5,6,f\n7,8,f\n", encoding="utf-8")
     ds = load_csv(f)
-    assert ds.meta["pv_tokens"] == {"m": 0, "f": 1}
+    assert ds.pv_tokens == {"m": 0, "f": 1}
     assert list(ds.pv) == [0, 0, 1, 1]
     assert ds.labels is None
     assert_allclose(ds.features, [[1.5, 2], [3, 4], [5, 6], [7, 8]])
@@ -49,7 +45,7 @@ def test_load_csv_label_column_anywhere_rest_are_features(tmp_path):
     ds = load_csv(f)
     assert list(ds.labels) == [0, 1, 0, 1]
     assert_allclose(ds.features, [[1, 2], [3, 4], [5, 6], [7, 8]])
-    assert set(ds.meta) == {"pv_tokens"}
+    assert ds.pv_tokens == {"m": 0, "f": 1}
 
 
 def test_load_csv_missing_pv_column(tmp_path):
@@ -97,7 +93,8 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.pv, ds.pv)
     assert np.array_equal(back.labels, ds.labels)
-    assert back.meta["pv_tokens"] == {"a": 0, "b": 1}
+    assert back.pv_tokens == {"a": 0, "b": 1}
+    assert standardize(back).pv_tokens == back.pv_tokens
 
 
 def test_standardize_hand_example():
@@ -134,59 +131,6 @@ def test_group_view_partitions_everything(pvs):
     for g, idx in view.items():
         assert np.all(np.diff(idx) > 0)
         assert np.all(ds.pv[idx] == g)
-
-
-def make_pool(n_a, n_b, out_a, out_b):
-    rng = np.random.default_rng(7)
-    n = n_a + n_b
-    labels = np.zeros(n, dtype=int)
-    labels[:out_a] = 1
-    labels[n_a:n_a + out_b] = 1
-    return LabeledDataset(
-        features=rng.normal(size=(n, 2)),
-        pv=np.concatenate([np.zeros(n_a, dtype=int), np.ones(n_b, dtype=int)]),
-        labels=labels,
-    )
-
-
-def test_downsample_hits_ratio_and_rate_exactly():
-    ds = make_pool(10000, 10000, 1000, 1000)
-    out = stratified_downsample(ds, group_ratio=4.0, outlier_rate=0.05, seed=1)
-    view = group_view(out)
-    n_a, n_b = len(view[0]), len(view[1])
-    assert n_a == math.floor(4.0 * n_b)
-    for g, n_g in ((0, n_a), (1, n_b)):
-        k_g = int(out.labels[view[g]].sum())
-        assert k_g == math.floor(0.05 * n_g + 1e-9)
-
-
-def test_downsample_ratio_one_same_composition():
-    ds = make_pool(20, 20, 2, 2)
-    out = stratified_downsample(ds, group_ratio=1.0, outlier_rate=0.1, seed=5)
-    view = group_view(out)
-    assert len(view[0]) == len(view[1]) == 20
-    assert int(out.labels.sum()) == 4
-
-
-def test_downsample_seed_determinism():
-    ds = make_pool(300, 200, 30, 20)
-    a = stratified_downsample(ds, 2.0, 0.05, seed=11)
-    b = stratified_downsample(ds, 2.0, 0.05, seed=11)
-    c = stratified_downsample(ds, 2.0, 0.05, seed=12)
-    assert np.array_equal(a.features, b.features)
-    assert not np.array_equal(a.features, c.features)
-
-
-def test_downsample_infeasible_raises_capacity():
-    ds = make_pool(4, 4, 0, 0)
-    with pytest.raises(CapacityError, match="available"):
-        stratified_downsample(ds, 1.0, 0.5, seed=0)
-
-
-def test_downsample_requires_labels():
-    ds = LabeledDataset(features=np.zeros((4, 1)), pv=np.array([0, 0, 1, 1]))
-    with pytest.raises(ValidationError, match="labels"):
-        stratified_downsample(ds, 1.0, 0.05, seed=0)
 
 
 # -- generators -------------------------------------------------------------------

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from numpy.testing import assert_allclose
 
 from fairod.dataset import LabeledDataset, group_view, make_synth1, standardize
 from fairod.detector import AEConfig, init_params
 from fairod.evalmetrics import ScoreSet, fairness_metric
-from fairod.losses import BaseScoreSet, TotalLossSpec
+from fairod.losses import VARIANTS, BaseScoreSet, TotalLossSpec
 from fairod.numgrad import eval_loss_grad_components
 from fairod.training import (
     ALPHA_GRID,
@@ -35,6 +37,20 @@ def tiny_ds(n=24, d=2, seed=0, with_labels=True):
 
 def small_synth1(seed=3):
     return standardize(make_synth1(500, 100, 30, seed=seed))
+
+
+@st.composite
+def random_ds(draw, min_groups=2):
+    """Up to 30 rows of 1-3 features; pv has min_groups to 4 values, each
+    held by at least 2 rows in shuffled positions."""
+    n_groups = draw(st.integers(min_groups, 4))
+    n = draw(st.integers(2 * n_groups, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pv = np.concatenate([np.repeat(np.arange(n_groups), 2),
+                         rng.integers(0, n_groups, n - 2 * n_groups)])
+    pv = rng.permutation(pv)
+    X = rng.normal(size=(n, draw(st.integers(1, 3)))) + 0.5 * pv[:, None]
+    return LabeledDataset(features=X, pv=pv).validate()
 
 
 def params_equal(a, b):
@@ -230,6 +246,16 @@ def test_treatment_parity_scores_ignore_pv():
     assert np.array_equal(fo.rescore(ds), fo.scores)
 
 
+@given(random_ds(min_groups=3), st.sampled_from(("fairod", "fairod_l", "fairod_c")),
+       st.integers(0, 2 ** 32 - 1))
+def test_treatment_parity_holds_for_multi_valued_pv(ds, variant, seed):
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=3, seed=seed))
+    fit = fit_fairod(ds, base, TrainConfig(variant=variant, alpha=0.3, gamma=0.5,
+                                           epochs=3, seed=seed))
+    permuted = replace(ds, pv=np.random.default_rng(seed).permutation(ds.pv))
+    assert np.array_equal(fit.rescore(ds), fit.rescore(permuted))
+
+
 # -- batching ---------------------------------------------------------------------------
 
 
@@ -278,6 +304,21 @@ def test_batch_covering_all_rows_matches_full_batch():
                 np.testing.assert_allclose(getattr(one.params, k), v, rtol=1e-9, atol=0.0)
             for k, v in full.trace.items():
                 np.testing.assert_allclose(one.trace[k], v, rtol=1e-9, atol=0.0)
+
+
+@given(random_ds(), st.sampled_from(VARIANTS), st.integers(0, 7), st.integers(0, 2 ** 32 - 1))
+def test_batch_covering_all_rows_matches_full_batch_on_random_inputs(ds, variant, extra,
+                                                                      seed):
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=3, seed=seed))
+    cfg = TrainConfig(variant=variant, alpha=0.5, gamma=0.5, epochs=5, seed=seed)
+    full = fit_fairod(ds, base, cfg)
+    one = fit_fairod(ds, base, replace(cfg, batch_size=ds.n + extra))
+    for k, v in full.params.to_dict().items():
+        assert_allclose(getattr(one.params, k), v, rtol=1e-9, atol=0.0)
+    # a term that cancels to about 0 (a group of two ranked perfectly) is
+    # rounding noise in either order, hence the absolute tolerance
+    for k, v in full.trace.items():
+        assert_allclose(one.trace[k], v, rtol=1e-9, atol=1e-12)
 
 
 def test_full_batch_trace_holds_batch_terms_exactly():
