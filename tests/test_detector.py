@@ -48,6 +48,13 @@ def test_init_params_deterministic_and_glorot_bounded():
     assert np.all(p1.b_enc1 == 0) and np.all(p1.b_dec1 == 0) and np.all(p1.b_out == 0)
 
 
+def test_reconstruct_zero_net_gives_zero():
+    # the zero net reconstructs every row as 0, so each score is the squared norm
+    p = zero_params(3, 2)
+    X = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+    assert_allclose(score(p, X), [5.25, 0.0])
+
+
 def test_score_finite_for_finite_input(rng):
     cfg = AEConfig(input_dim=4, hidden_dim=2, seed=3)
     p = init_params(cfg)
@@ -59,9 +66,6 @@ def test_score_hand_example():
     # X=[1,1] reconstructed as [0,0] -> squared error 2
     p = zero_params(2, 2)
     assert_allclose(score(p, np.array([1.0, 1.0])), [2.0])
-    # the zero net reconstructs every row as 0, so each score is the squared norm
-    X = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
-    assert_allclose(score(zero_params(3, 2), X), [5.25, 0.0])
 
 
 def test_score_nonnegative_and_zero_iff_exact(rng):
