@@ -2,11 +2,12 @@
 
 Subcommands: synth, train, eval, grid, ablate, claims, replay.  Every
 command resolves its configuration (CLI flags > flat key=value config file
-> defaults), runs a pure executor, and writes a manifest.json next to its
-outputs recording the command, the fully materialized config, input and
+> defaults) and hands it to `_run`, which calls the command's executor and
+writes a manifest.json next to the outputs the executor returns.  The
+manifest records the command, the fully materialized config, input and
 output paths, the seed, and the toolkit version.  `replay --manifest M`
-re-runs the recorded command into a fresh directory; outputs are
-byte-identical apart from the manifest timestamps.
+re-runs the recorded command through `_run` into a fresh directory; outputs
+are byte-identical apart from the manifest timestamps.
 
 Exit codes: 0 success, 1 usage, 2 data/schema, 3 numerical failure,
 4 claim counterexample found.
@@ -134,8 +135,8 @@ _KEYS = {
     "grid": ("alpha_grid", "gamma_grid") + _FIT_KEYS + ("jobs",),
     "ablate": ("alpha", "gamma") + _FIT_KEYS,
     "claims": ("max_n",),
+    "synth": ("name", "major", "minor", "outliers", "x1_std"),  # synth's own flags
 }
-_SYNTH_KEYS = ("name", "major", "minor", "outliers", "x1_std")
 _SEEDED = ("synth", "train", "grid", "ablate")  # commands whose config records --seed
 _INPUTS = {"train": ("data",), "eval": ("data", "model"), "grid": ("data", "base"),
            "ablate": ("data", "base")}  # inputs an executor cannot run without
@@ -197,28 +198,6 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
-                    outputs: dict, seed: int | None, started: str) -> None:
-    doc = {
-        "command": command,
-        "config": {k: _jsonable(v) for k, v in sorted(config.items())},
-        "inputs": {k: str(Path(v).resolve()) for k, v in sorted(inputs.items())},
-        "outputs": dict(sorted(outputs.items())),
-        "seed": seed,
-        "version": __version__,
-        "started_at": started,
-        "finished_at": _utcnow(),
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def _prepare_out(out_dir: str | Path) -> Path:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -244,23 +223,21 @@ def _groups(ds: LabeledDataset, path: str) -> GroupView:
     return groups
 
 
-def _load_fit(path: str) -> FitResult:
+def _load_model(path: str, ds: LabeledDataset) -> FitResult:
+    """The model file at `path`, with its (finite) scores on `ds` set."""
     try:
-        return FitResult.from_json(Path(path).read_text(encoding="utf-8"))
+        fit = FitResult.from_json(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise DataError(f"cannot read model {path}: {e}") from e
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"bad model file {path}: {e}") from e
-
-
-def _rescore(fit: FitResult, ds: LabeledDataset, origin: str) -> np.ndarray:
     try:
-        scores = fit.rescore(ds)
+        fit.scores = fit.rescore(ds)
     except ValueError as e:
-        raise DataError(f"model from {origin} does not fit this dataset: {e}") from e
-    if not np.all(np.isfinite(scores)):
-        raise NumericalOverflowError(f"non-finite scores from model {origin}")
-    return scores
+        raise DataError(f"model from {path} does not fit this dataset: {e}") from e
+    if not np.all(np.isfinite(fit.scores)):
+        raise NumericalOverflowError(f"non-finite scores from model {path}")
+    return fit
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -279,11 +256,12 @@ def _train_config(config: dict, variant: str) -> TrainConfig:
         raise UsageError(str(e)) from e
 
 
-# -- executors (pure: resolved config + inputs + out dir, write manifest) ------------------
+# -- executors (resolved config + inputs + out dir -> (outputs, exit code)) ----------------
+# Each writes its artifacts into out_dir and returns their names; `_run`
+# writes the manifest.
 
 
-def _exec_synth(config: dict, inputs: dict, out_dir: Path) -> int:
-    started = _utcnow()
+def _exec_synth(config: dict, inputs: dict, out_dir: Path) -> tuple[dict, int]:
     name = config["name"]
     try:
         if name == "synth1":
@@ -300,14 +278,11 @@ def _exec_synth(config: dict, inputs: dict, out_dir: Path) -> int:
     except (ValueError, DataError) as e:
         raise UsageError(f"invalid generator counts: {e}") from e
     save_csv(ds, out_dir / "dataset.csv")
-    _write_manifest(out_dir, "synth", config, inputs, {"dataset": "dataset.csv"},
-                    config["seed"], started)
     print(f"wrote {ds.n}-row {name} dataset to {out_dir / 'dataset.csv'}")
-    return EXIT_OK
+    return {"dataset": "dataset.csv"}, EXIT_OK
 
 
-def _exec_train(config: dict, inputs: dict, out_dir: Path) -> int:
-    started = _utcnow()
+def _exec_train(config: dict, inputs: dict, out_dir: Path) -> tuple[dict, int]:
     variant = "base_only" if config["variant"] == "base" else config["variant"]
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {config['variant']!r}")
@@ -320,29 +295,23 @@ def _exec_train(config: dict, inputs: dict, out_dir: Path) -> int:
             raise UsageError("base_seeds must be >= 1")
         fit = fit_base_multi_seed(ds, cfg, n_seeds=config["base_seeds"])
     else:
-        base = _load_fit(inputs["base"])
+        base = _load_model(inputs["base"], ds)
         try:
             fit = fit_fairod(ds, base, cfg)
         except ValueError as e:
             raise DataError(str(e)) from e
     (out_dir / "fit.json").write_text(fit.to_json(), encoding="utf-8")
-    _write_manifest(out_dir, "train", config, inputs, {"fit": "fit.json"},
-                    config["seed"], started)
     print(f"trained {variant} for {cfg.epochs} epochs; "
           f"final loss {fit.trace['total'][-1]:.6g}; wrote {out_dir / 'fit.json'}")
-    return EXIT_OK
+    return {"fit": "fit.json"}, EXIT_OK
 
 
-def _exec_eval(config: dict, inputs: dict, out_dir: Path) -> int:
-    started = _utcnow()
+def _exec_eval(config: dict, inputs: dict, out_dir: Path) -> tuple[dict, int]:
     ds = _load_dataset(inputs["data"], config["standardize"])
     groups = _groups(ds, inputs["data"])
-    model = _load_fit(inputs["model"])
-    scores = _rescore(model, ds, inputs["model"])
-    if "base" in inputs:
-        base_scores = _rescore(_load_fit(inputs["base"]), ds, inputs["base"])
-    else:
-        base_scores = scores
+    model = _load_model(inputs["model"], ds)
+    scores = model.scores
+    base_scores = _load_model(inputs["base"], ds).scores if "base" in inputs else scores
     base_set = BaseScoreSet.from_scores(base_scores, groups)
     report = build_report(scores, ds, config["flag_fraction"], base=base_set,
                           config={"model": str(inputs["model"]),
@@ -358,23 +327,18 @@ def _exec_eval(config: dict, inputs: dict, out_dir: Path) -> int:
     gids = sorted(groups)
     _write_csv(out_dir / "report.csv", EvalReport.csv_header(gids),
                [report.to_csv_row(gids)])
-    _write_manifest(out_dir, "eval", config, inputs,
-                    {"report_json": "report.json", "report_csv": "report.csv"},
-                    None, started)
     fairness = "n/a" if report.fairness is None else f"{report.fairness:.4f}"
     gf = "n/a" if report.group_fidelity is None else f"{report.group_fidelity:.4f}"
     print(f"fairness {fairness}, group fidelity {gf}; wrote {out_dir / 'report.json'}")
-    return EXIT_OK
+    return {"report_json": "report.json", "report_csv": "report.csv"}, EXIT_OK
 
 
-def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> int:
-    started = _utcnow()
+def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> tuple[dict, int]:
     if config["jobs"] < 1:
         raise UsageError("jobs must be >= 1")
     ds = _load_dataset(inputs["data"], config["standardize"])
     _groups(ds, inputs["data"])  # every cell's selection metrics need two groups
-    base = _load_fit(inputs["base"])
-    base = replace(base, scores=_rescore(base, ds, inputs["base"]))
+    base = _load_model(inputs["base"], ds)
     cfg_common = _train_config(config, "fairod")
     for alpha in config["alpha_grid"]:
         for gamma in config["gamma_grid"]:
@@ -395,46 +359,37 @@ def _exec_grid(config: dict, inputs: dict, out_dir: Path) -> int:
                ["alpha", "gamma", "variant", "fairness", "group_fidelity",
                 "error", "selected"], rows)
     (out_dir / "selected.json").write_text(selected.fit.to_json(), encoding="utf-8")
-    _write_manifest(out_dir, "grid", config, inputs,
-                    {"grid_csv": "grid.csv", "selected_fit": "selected.json"},
-                    config["seed"], started)
     print(f"grid of {len(rows)} cells; selected alpha={selected.config.alpha} "
           f"gamma={selected.config.gamma} (fairness {selected.fairness:.4f}, "
           f"group fidelity {selected.group_fidelity:.4f})")
-    return EXIT_OK
+    return {"grid_csv": "grid.csv", "selected_fit": "selected.json"}, EXIT_OK
 
 
 ABLATION_VARIANTS = ("fairod", "fairod_l", "fairod_c", "base")
 
 
-def _exec_ablate(config: dict, inputs: dict, out_dir: Path) -> int:
-    started = _utcnow()
+def _exec_ablate(config: dict, inputs: dict, out_dir: Path) -> tuple[dict, int]:
     ds = _load_dataset(inputs["data"], config["standardize"])
     groups = _groups(ds, inputs["data"])
-    base = _load_fit(inputs["base"])
-    base_scores = _rescore(base, ds, inputs["base"])
-    base_set = BaseScoreSet.from_scores(base_scores, groups)
+    base = _load_model(inputs["base"], ds)
+    base_set = BaseScoreSet.from_scores(base.scores, groups)
     cfg = _train_config(config, "fairod")
     gids = sorted(groups)
     rows = []
     for variant in ABLATION_VARIANTS:
         if variant == "base":
-            scores = base_scores
+            scores = base.scores
         else:
-            fit = fit_fairod(ds, base, replace(cfg, variant=variant))
-            scores = fit.scores
+            scores = fit_fairod(ds, base, replace(cfg, variant=variant)).scores
         report = build_report(scores, ds, config["flag_fraction"], base=base_set,
                               config={"variant": variant})
         rows.append([variant] + report.to_csv_row(gids))
     _write_csv(out_dir / "ablation.csv", ["variant"] + EvalReport.csv_header(gids), rows)
-    _write_manifest(out_dir, "ablate", config, inputs, {"ablation": "ablation.csv"},
-                    config["seed"], started)
     print(f"wrote {len(rows)}-variant comparison to {out_dir / 'ablation.csv'}")
-    return EXIT_OK
+    return {"ablation": "ablation.csv"}, EXIT_OK
 
 
-def _exec_claims(config: dict, inputs: dict, out_dir: Path) -> int:
-    started = _utcnow()
+def _exec_claims(config: dict, inputs: dict, out_dir: Path) -> tuple[dict, int]:
     try:
         v1 = verify_claim1(config["max_n"])
         v2 = verify_claim2(config["max_n"])
@@ -443,13 +398,11 @@ def _exec_claims(config: dict, inputs: dict, out_dir: Path) -> int:
     doc = {"claim1": v1.to_json_dict(), "claim2": v2.to_json_dict()}
     (out_dir / "claims.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out_dir, "claims", config, inputs, {"claims": "claims.json"},
-                    None, started)
     for v in (v1, v2):
         state = "no counterexample" if v.holds else f"{len(v.counterexamples)} counterexamples"
         print(f"{v.claim}: {state} over {v.populations_checked} populations "
               f"(N <= {v.max_n})")
-    return EXIT_OK if v1.holds and v2.holds else EXIT_COUNTEREXAMPLE
+    return {"claims": "claims.json"}, EXIT_OK if v1.holds and v2.holds else EXIT_COUNTEREXAMPLE
 
 
 _EXECUTORS = {
@@ -460,6 +413,25 @@ _EXECUTORS = {
     "ablate": _exec_ablate,
     "claims": _exec_claims,
 }
+
+
+def _run(command: str, config: dict, inputs: dict, out_dir: Path) -> int:
+    """Run one command's executor and record the run in out_dir/manifest.json."""
+    started = _utcnow()
+    outputs, code = _EXECUTORS[command](config, inputs, out_dir)
+    doc = {
+        "command": command,
+        "config": config,
+        "inputs": {k: str(Path(v).resolve()) for k, v in inputs.items()},
+        "outputs": outputs,
+        "seed": config.get("seed"),
+        "version": __version__,
+        "started_at": started,
+        "finished_at": _utcnow(),
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                                           encoding="utf-8")
+    return code
 
 
 def _exec_replay(manifest_path: str, out_dir: Path) -> int:
@@ -474,7 +446,7 @@ def _exec_replay(manifest_path: str, out_dir: Path) -> int:
         raise DataError(f"bad manifest {manifest_path}: {e}") from e
     if command not in _EXECUTORS:
         raise DataError(f"manifest names unknown command {command!r}")
-    keys = set(_KEYS.get(command, _SYNTH_KEYS)) | ({"seed"} if command in _SEEDED else set())
+    keys = set(_KEYS[command]) | ({"seed"} if command in _SEEDED else set())
     if set(config) != keys:
         raise DataError(f"bad manifest {manifest_path}: {command} config has keys "
                         f"{sorted(config)}, expected {sorted(keys)}")
@@ -488,7 +460,7 @@ def _exec_replay(manifest_path: str, out_dir: Path) -> int:
     config = {k: _parse_value(k, _manifest_text(v)) if k in _PARSERS else v
               for k, v in config.items()}
     print(f"replaying {command} into {out_dir}")
-    return _EXECUTORS[command](config, inputs, out_dir)
+    return _run(command, config, inputs, out_dir)
 
 
 # -- argument parsing ---------------------------------------------------------------------
@@ -588,11 +560,11 @@ def _dispatch(ns: argparse.Namespace) -> int:
     if ns.command == "replay":
         return _exec_replay(ns.manifest, out_dir)
     if ns.command == "synth":
-        config = {k: getattr(ns, k) for k in _SYNTH_KEYS + ("seed",)}
+        config = {k: getattr(ns, k) for k in _KEYS["synth"] + ("seed",)}
     else:
         config = _resolve_config(ns)
     inputs = _abs_paths({k: getattr(ns, k, None) for k in ("data", "model", "base")})
-    return _EXECUTORS[ns.command](config, inputs, out_dir)
+    return _run(ns.command, config, inputs, out_dir)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,7 @@ membership can never leak into scores at evaluation time.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
@@ -69,32 +70,23 @@ class FitResult:
     scores: np.ndarray | None
     config: TrainConfig
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        doc = {
             "params": self.params.to_json_dict(),
             "trace": {k: list(v) for k, v in self.trace.items()},
             "config": asdict(self.config),
         }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "FitResult":
+    def from_json(cls, text: str) -> "FitResult":
+        doc = json.loads(text)
         return cls(
             params=AutoencoderParams.from_json_dict(doc["params"]),
             trace={k: list(v) for k, v in doc["trace"].items()},
             scores=None,
             config=TrainConfig(**doc["config"]),
         )
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        import json
-
-        return cls.from_json_dict(json.loads(text))
 
     def rescore(self, ds: LabeledDataset) -> np.ndarray:
         """Score a dataset with the trained parameters (no group input)."""

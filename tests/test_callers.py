@@ -1,7 +1,8 @@
 """Every function, class and method defined in src/ has a caller in src/ or
 bench/, except the definitions that tests compare against.  The check is a
 scan of syntax trees: a definition counts as used when its name is read as
-a `Name`, an `Attribute` or an import alias outside its own body.
+a `Name`, an `Attribute` or an import alias outside its own body.  A `Name`
+that is only assigned or declared (a class field, say) is not a read.
 
 A name scan cannot tell apart methods that share a name (such as
 `to_json` on two classes): one caller keeps them all."""
@@ -17,7 +18,7 @@ BENCH = sorted(ROOT.glob("bench/**/*.py"))
 # Definitions that only tests read: value-only losses, metric definitions
 # and the gradient oracle that the fast paths are checked against.
 TEST_ONLY = {
-    "flag_top_fraction", "topk_rank_agreement", "average_precision",
+    "flag_top_fraction", "topk_rank_agreement", "average_precision", "ap_ratio", "p_at_k_ratio",
     "pearson_abs_corr", "smooth_rank", "loss_sp", "loss_gf", "loss_gf_corr", "loss_base",
     "tape_loss_grad_components", "finite_diff_grad",
 }
@@ -40,7 +41,7 @@ def references(node: ast.AST) -> Counter:
     """How often each name is read under `node`."""
     seen = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             seen[n.id] += 1
         elif isinstance(n, ast.Attribute):
             seen[n.attr] += 1
@@ -61,6 +62,7 @@ def uncalled(defining: list[str], calling: list[str]) -> list[str]:
 
 def test_scan_finds_uncalled_definitions():
     lib = ("class Box:\n"
+           "    alone: int = 0\n"  # a field that shares a function's name
            "    def __init__(self):\n"
            "        self.size = 0\n"
            "    def grow(self):\n"

@@ -117,6 +117,26 @@ class TestTrain:
         assert f"usage error: {flag[2:]} must be" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_width_mismatched_base_is_data_error(self, work, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("f_0,f_1,f_2,pv\n1,2,3,a\n4,5,6,b\n2,1,0,a\n3,2,2,b\n")
+        code = run("train", "--data", wide, "--variant", "fairod", "--base", work["base"],
+                   "--seed", 1, "--epochs", 2, "--out", tmp_path / "out")
+        assert code == cli.EXIT_DATA
+        assert (f"model from {work['base'].resolve()} does not fit this dataset"
+                in capsys.readouterr().err)
+
+    def test_non_finite_base_scores_is_numeric_error(self, work, tmp_path, capsys):
+        doc = read_json(work["base"])
+        doc["params"]["arrays"]["b_out"]["data"] = [1e308, 1e308]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        code = run("train", "--data", work["data"], "--variant", "fairod", "--base", huge,
+                   "--seed", 1, "--epochs", 2, "--out", tmp_path / "out")
+        assert code == cli.EXIT_NUMERIC
+        assert f"non-finite scores from model {huge.resolve()}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
+
     def test_csv_without_feature_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "nofeat.csv"
         data.write_text("pv\na\na\nb\nb\n")
@@ -366,6 +386,36 @@ class TestClaims:
         assert read_json(tmp_path / "claims.json")["claim1"]["holds"] is False
 
 
+class TestManifest:
+    @pytest.mark.parametrize("command, seed, outputs", [
+        ("synth", 5, {"dataset": "dataset.csv"}),
+        ("train", 5, {"fit": "fit.json"}),
+        ("eval", None, {"report_json": "report.json", "report_csv": "report.csv"}),
+        ("grid", 5, {"grid_csv": "grid.csv", "selected_fit": "selected.json"}),
+        ("ablate", 5, {"ablation": "ablation.csv"}),
+        ("claims", None, {"claims": "claims.json"}),
+    ])
+    def test_seed_and_outputs_per_command(self, work, tmp_path, command, seed, outputs):
+        fit = ("--data", work["data"], "--epochs", 2, "--seed", 5)
+        args = {
+            "synth": ("synth1", "--major", 20, "--minor", 10, "--outliers", 2, "--seed", 5),
+            "train": (*fit, "--variant", "base", "--base-seeds", 1),
+            "eval": ("--data", work["data"], "--model", work["base"]),
+            "grid": (*fit, "--base", work["base"], "--alpha-grid", 0.5, "--gamma-grid", 0.1),
+            "ablate": (*fit, "--base", work["base"]),
+            "claims": ("--max-n", 3),
+        }[command]
+        assert run(command, *args, "--out", tmp_path) == cli.EXIT_OK
+        doc = read_json(tmp_path / "manifest.json")
+        assert (doc["command"], doc["seed"], doc["outputs"]) == (command, seed, outputs)
+        assert all((tmp_path / name).is_file() for name in outputs.values())
+
+    def test_usage_error_writes_no_manifest(self, work, tmp_path):
+        assert run("train", "--data", work["data"], "--variant", "fairod", "--seed", 1,
+                   "--out", tmp_path) == cli.EXIT_USAGE
+        assert not (tmp_path / "manifest.json").exists()
+
+
 class TestReplay:
     def test_eval_replay_is_byte_identical(self, work, tmp_path):
         first = tmp_path / "first"
@@ -503,9 +553,8 @@ def resolved_config(monkeypatch, tmp_path, command, *args):
     seen = {}
 
     def capture(config, inputs, out_dir):
-        seen["config"] = json.loads(json.dumps({k: cli._jsonable(v)
-                                                for k, v in config.items()}))
-        return cli.EXIT_OK
+        seen["config"] = json.loads(json.dumps(config))
+        return {}, cli.EXIT_OK
     monkeypatch.setitem(cli._EXECUTORS, command, capture)
     assert run(command, *REQUIRED[command], *args, "--out", tmp_path / "out") == 0
     return seen["config"]
