@@ -18,7 +18,7 @@ import pytest
 from test_losses import discrete_gf_oracle, spaced_unit_scores
 
 from fairod import cli
-from fairod.claimcheck import enumerate_populations, verify_claim1, verify_claim2
+from fairod.claimcheck import tables, verify_claim1, verify_claim2
 from fairod.dataset import make_synth1, make_synth2, standardize
 from fairod.detector import AEConfig, init_params
 from fairod.evalmetrics import (
@@ -252,7 +252,7 @@ def test_ac6_metric_unit_examples():
     assert loss_sp(s, g) == pytest.approx(1.0)
     assert loss_sp(np.array([1.0, 0.0, 1.0, 0.0]), g) == pytest.approx(0.0)
     # finite-population enumeration size
-    assert sum(1 for _ in enumerate_populations(2)) == 16
+    assert len(tables(2)) == 16
 
 
 # -- criterion 7: smoothing fidelity ----------------------------------------------------------

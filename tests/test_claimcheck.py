@@ -2,23 +2,27 @@
 parity/precision claims."""
 
 import json
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairod import claimcheck
 from fairod.claimcheck import (
     CELLS,
     MAX_N,
     ClaimVerdict,
     FinitePopulation,
     effectiveness_holds,
-    enumerate_populations,
     group_beats_base_rate,
     group_precision_equals_base_rate,
     ratio_preserved,
     sp_holds,
+    tables,
     verify_claim1,
     verify_claim2,
 )
@@ -33,6 +37,48 @@ def expected_table_count(n):
     # compositions of n into 8 parts, minus those with an empty group:
     # group a empty or group b empty each leave a composition into 4 parts.
     return comb(n + 7, 7) - 2 * comb(n + 3, 3)
+
+
+# -- scalar oracle: one FinitePopulation per table, walked in pure Python -----------------
+
+
+def _compositions(total, parts):
+    """Every `parts`-tuple of nonnegative ints summing to `total`, in
+    lexicographic order: one tuple per nondecreasing run of partial sums."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
+
+
+def oracle_populations(n):
+    """All 8-cell tables with total n and both groups nonempty, one object each."""
+    for counts in _compositions(n, 8):
+        if 0 < sum(counts[:4]) < n:
+            yield FinitePopulation(counts)
+
+
+def oracle_verify(claim, max_n):
+    """The claim funnel table by table, with Python bools from the same
+    predicates that `claimcheck` evaluates on int64 columns."""
+    premises, conclusion, witness_key, witness_test, record = claimcheck._CLAIMS[claim]
+    counts = {"checked": 0} | {key: 0 for key, _ in premises} | {"premises_met": 0}
+    counterexamples = []
+    witness = None
+    for n in range(2, max_n + 1):
+        for pop in oracle_populations(n):
+            counts["checked"] += 1
+            for key, holds in premises:
+                if not holds(pop):
+                    counts[key] += 1
+                    if witness is None and key == witness_key and witness_test(pop):
+                        witness = record | {"population": pop.to_dict()}
+                    break
+            else:
+                counts["premises_met"] += 1
+                if not conclusion(pop):
+                    counterexamples.append(pop.to_dict())
+    return ClaimVerdict(claim=claim, max_n=max_n, populations_checked=counts["checked"],
+                        premise_counts=counts, counterexamples=counterexamples,
+                        witness=witness)
 
 
 # -- FinitePopulation ---------------------------------------------------------------------
@@ -96,26 +142,32 @@ class TestFinitePopulation:
 
 class TestEnumeration:
     def test_n2_has_16_tables(self):
-        assert sum(1 for _ in enumerate_populations(2)) == 16
+        assert len(tables(2)) == 16
+        assert sum(1 for _ in oracle_populations(2)) == 16
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
     def test_count_matches_closed_form(self, n):
-        assert sum(1 for _ in enumerate_populations(n)) == expected_table_count(n)
+        assert tables(n).shape == (expected_table_count(n), 8)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_in_oracle_order(self, n):
+        table = tables(n)
+        assert table.dtype == np.int8
+        assert table.tolist() == [list(pop.counts) for pop in oracle_populations(n)]
 
     def test_no_duplicates_and_totals(self):
-        seen = set()
-        for pop in enumerate_populations(6):
-            assert pop.counts not in seen
-            seen.add(pop.counts)
+        rows = [tuple(row) for row in tables(6).tolist()]
+        assert len(set(rows)) == len(rows) == expected_table_count(6)
+        for row in rows:
+            pop = FinitePopulation(row)
             assert pop.n == 6
             assert pop.group_size(0) >= 1 and pop.group_size(1) >= 1
-        assert len(seen) == expected_table_count(6)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="at most"):
-            list(enumerate_populations(MAX_N + 1))
+            tables(MAX_N + 1)
         with pytest.raises(ValueError, match="at least 2"):
-            list(enumerate_populations(1))
+            tables(1)
 
 
 # -- predicates ---------------------------------------------------------------------------
@@ -241,14 +293,14 @@ class TestClaim1:
 
     def test_conclusion_on_premise_populations_directly(self):
         # independent of the verdict bookkeeping: re-scan one size by hand
-        for pop in enumerate_populations(6):
+        for pop in oracle_populations(6):
             if effectiveness_holds(pop) and sp_holds(pop):
                 assert any(group_beats_base_rate(pop, v) for v in (0, 1))
 
     def test_parity_makes_flags_span_groups(self):
         # under parity with any flags at all, both groups must have flags,
         # so the conclusion's conditional precision is always defined
-        for pop in enumerate_populations(5):
+        for pop in oracle_populations(5):
             if effectiveness_holds(pop) and sp_holds(pop):
                 assert pop.flagged(0) > 0 and pop.flagged(1) > 0
 
@@ -265,7 +317,7 @@ class TestClaim2:
         assert c["premises_met"] > 0
 
     def test_every_group_beats_base_rate_directly(self):
-        for pop in enumerate_populations(6):
+        for pop in oracle_populations(6):
             if (effectiveness_holds(pop) and sp_holds(pop)
                     and ratio_preserved(pop)):
                 assert all(group_beats_base_rate(pop, v) for v in (0, 1))
@@ -313,3 +365,69 @@ class TestVerdictSerialization:
                          premise_counts={}, counterexamples=[{"cells": [0] * 8}])
         assert not v.holds
         assert v.to_json_dict()["holds"] is False
+
+
+# -- columnar check against the scalar oracle ---------------------------------------------
+
+
+def _predicates():
+    """Every predicate of both claims as (name, function of a population)."""
+    found = [("sp", sp_holds), ("effectiveness", effectiveness_holds),
+             ("ratio", ratio_preserved)]
+    for v in (0, 1):
+        found += [(f"beats_{v}", lambda pop, v=v: group_beats_base_rate(pop, v)),
+                  (f"equals_{v}", lambda pop, v=v: group_precision_equals_base_rate(pop, v))]
+    for claim, (_, conclusion, _, witness_test, _) in claimcheck._CLAIMS.items():
+        found += [(f"{claim}_conclusion", conclusion), (f"{claim}_witness", witness_test)]
+    return found
+
+
+@pytest.mark.parametrize("name, predicate", _predicates(), ids=[n for n, _ in _predicates()])
+def test_columns_agree_with_scalar_predicates(name, predicate):
+    table = tables(6)
+    got = predicate(claimcheck._Columns(table))
+    assert got.dtype == bool and got.shape == (len(table),)
+    want = [predicate(FinitePopulation(tuple(row))) for row in table.tolist()]
+    assert all(type(w) is bool for w in want)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("max_n", range(2, 10))
+def test_columnar_verdicts_equal_oracle(max_n):
+    assert verify_claim1(max_n).to_json_dict() == oracle_verify("claim1", max_n).to_json_dict()
+    assert verify_claim2(max_n).to_json_dict() == oracle_verify("claim2", max_n).to_json_dict()
+
+
+def test_counterexamples_listed_in_oracle_order(monkeypatch):
+    # "every group beats its base rate" does not follow from claim1's premises
+    # (claim2's witness is one such table), so this claim lists counterexamples
+    premises, _, witness_key, witness_test, record = claimcheck._CLAIMS["claim1"]
+    monkeypatch.setitem(claimcheck._CLAIMS, "claim1", (
+        premises, claimcheck._claim2_conclusion, witness_key, witness_test, record))
+    for max_n in range(2, 8):
+        got = verify_claim1(max_n)
+        assert got.counterexamples == oracle_verify("claim1", max_n).counterexamples
+    assert not got.holds and len(got.counterexamples) == 44
+    for cex in got.counterexamples:
+        pop = FinitePopulation(tuple(cex["cells"]))
+        assert effectiveness_holds(pop) and sp_holds(pop)
+        assert not all(group_beats_base_rate(pop, v) for v in (0, 1))
+
+
+def test_witness_none_when_test_never_matches(monkeypatch):
+    premises, conclusion, witness_key, _, record = claimcheck._CLAIMS["claim2"]
+    monkeypatch.setitem(claimcheck._CLAIMS, "claim2", (
+        premises, conclusion, witness_key, lambda pop: pop.n < 0, record))
+    assert verify_claim2(6).witness is None
+    assert oracle_verify("claim2", 6).witness is None
+
+
+def test_funnel_pinned_at_max_n():
+    v1, v2 = verify_claim1(MAX_N), verify_claim2(MAX_N)
+    funnel = {"checked": 313651, "effectiveness_failed": 166529, "sp_failed": 143372}
+    assert v1.premise_counts == funnel | {"premises_met": 3750}
+    assert v2.premise_counts == funnel | {"ratio_failed": 3250, "premises_met": 500}
+    assert v1.populations_checked == v2.populations_checked == 313651
+    assert v1.holds and v2.holds
+    assert v1.witness["population"]["cells"] == [0, 0, 0, 1, 1, 1, 0, 0]
+    assert v2.witness["population"]["cells"] == [0, 0, 1, 1, 1, 0, 0, 1]

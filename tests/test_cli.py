@@ -373,8 +373,12 @@ class TestClaims:
             assert verdict["premise_counts"]["premises_met"] > 0
             assert verdict["witness"] is not None
 
-    def test_out_of_range_max_n_is_usage_error(self, tmp_path):
-        assert run("claims", "--max-n", 99, "--out", tmp_path) == cli.EXIT_USAGE
+    def test_out_of_range_max_n_is_usage_error(self, tmp_path, capsys):
+        for max_n in (1, 15, 99):
+            out = tmp_path / str(max_n)
+            assert run("claims", "--max-n", max_n, "--out", out) == cli.EXIT_USAGE
+            assert "usage error: max_n must be in [2, 14]" in capsys.readouterr().err
+            assert not (out / "claims.json").exists()
 
     def test_counterexample_exit_code(self, tmp_path, monkeypatch):
         def fake(max_n):
