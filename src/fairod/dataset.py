@@ -9,6 +9,9 @@ significant digits so save/load round-trips are bit-exact.
 from __future__ import annotations
 
 import csv
+import io
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,19 +118,83 @@ def save_csv(ds: LabeledDataset, path) -> None:
             w.writerow(row)
 
 
-def _map_pv_tokens(tokens: list[str]) -> dict[str, int]:
+def _map_pv_tokens(tokens: Iterable[str]) -> dict[str, int]:
     """Most frequent token becomes id 0; the rest follow first appearance."""
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for pos, t in enumerate(tokens):
-        counts[t] = counts.get(t, 0) + 1
-        first_seen.setdefault(t, pos)
-    majority = min(counts, key=lambda t: (-counts[t], first_seen[t]))
-    mapping = {majority: 0}
-    for t in sorted(first_seen, key=first_seen.get):
-        if t not in mapping:
-            mapping[t] = len(mapping)
-    return mapping
+    counts = Counter(tokens)
+    majority = counts.most_common(1)[0][0]  # ties go to the first seen
+    return {t: i for i, t in enumerate(dict.fromkeys([majority, *counts]))}
+
+
+def _read_text(path) -> str:
+    """The file's text, line ends untranslated."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            # decode again line by line, so the message names the position
+            # a line reader reports
+            fh.seek(0)
+            try:
+                for _ in fh:
+                    pass
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path}: not valid UTF-8: {e}") from None
+            raise
+
+
+def _records(text: str, path) -> list[list[str]]:
+    """Every record of `text` as csv.reader splits it; a csv error, such as a
+    field over csv.field_size_limit(), is a ParseError naming its line."""
+    records: list[list[str]] = []
+    try:
+        for record in csv.reader(io.StringIO(text, newline="")):
+            records.append(record)
+    except csv.Error as e:
+        raise ParseError(f"{path}: line {len(records) + 1}: {e}") from None
+    return records
+
+
+def _loadtxt_body(text: str) -> np.ndarray | None:
+    """The rows after the header as a (rows, width) object array of cell
+    strings, tokenized by np.loadtxt; None when loadtxt might split the text
+    otherwise than csv.reader.  The two agree when no cell is quoted, every
+    line ends in LF, CRLF or the end of the text, data lines follow the
+    header and none is blank, and no line could hold a field over
+    csv.field_size_limit().  loadtxt raises on rows of unequal width, which
+    also gives None."""
+    if '"' in text:
+        return None
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if ends.size == 0 or ends[-1] != data.size - 1:
+        ends = np.append(ends, data.size)
+    cr = np.flatnonzero(data == ord("\r"))
+    if cr.size and (cr[-1] == data.size - 1 or np.any(data[cr + 1] != ord("\n"))):
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1  # UTF-8 bytes, so at least the characters
+    # a data line of one byte or none is blank or narrower than any valid
+    # header; csv.reader names the error
+    if ends.size < 2 or lengths[1:].min() < 2 or lengths.max() > csv.field_size_limit():
+        return None
+    try:
+        cells = np.loadtxt(io.StringIO(text), delimiter=",", dtype=object, comments=None,
+                           skiprows=1, ndmin=2)
+    except ValueError:
+        return None
+    return cells if cells.shape[0] == ends.size - 1 else None
+
+
+def _first(tokens, ok) -> int:
+    """Index of the first token that fails `ok`."""
+    return next(i for i, t in enumerate(tokens) if not ok(t))
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(path) -> LabeledDataset:
@@ -135,15 +202,19 @@ def load_csv(path) -> LabeledDataset:
     column, and every other column a feature.  pv tokens are mapped to ids
     with the most frequent token forced to 0 (majority); the mapping is
     recorded in `pv_tokens`.
+
+    The dialect is the csv module's default.  A quote-free file is tokenized
+    by np.loadtxt; any other file, and any file loadtxt could split
+    differently, by csv.reader.  Each column is then converted at once, and
+    an error names the first faulty line as a row-by-row reader would: its
+    width, then its feature cells in header order, then its label.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not valid UTF-8: {e}") from None
-    if not rows:
+    text = _read_text(path)
+    cells = _loadtxt_body(text)
+    records = _records(text if cells is None else text[:text.find("\n")], path)
+    if not records:
         raise SchemaError(f"{path}: empty file, header required")
-    header = rows[0]
+    header = records[0]
     if len(set(header)) != len(header):
         raise SchemaError(f"{path}: duplicate column names in header")
     if "pv" not in header:
@@ -154,35 +225,52 @@ def load_csv(path) -> LabeledDataset:
     if not feat_ix:
         raise SchemaError(f"{path}: no feature column besides 'pv' and 'label'")
 
-    feats, pv_tokens, labels = [], [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
-        vals = []
-        for j in feat_ix:
-            try:
-                vals.append(float(row[j]))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {line_no}, column '{header[j]}': "
-                    f"non-numeric value {row[j]!r}") from None
-        feats.append(vals)
-        pv_tokens.append(row[pv_ix])
-        if lab_ix is not None:
-            tok = row[lab_ix].strip()
-            if tok not in ("0", "1"):
-                raise ParseError(
-                    f"{path}: line {line_no}, column '{header[lab_ix]}': "
-                    f"label must be 0 or 1, got {tok!r}")
-            labels.append(int(tok))
-    if not feats:
+    # cells: the rows before the first ragged one, whose width is `ragged`
+    width = len(header)
+    ragged = None
+    if cells is None:
+        body = records[1:]
+        n = next((i for i, row in enumerate(body) if len(row) != width), len(body))
+        if n < len(body):
+            ragged = len(body[n])
+        cells = np.array(body[:n], dtype=object).reshape(n, width)
+    elif cells.shape[1] != width:
+        ragged = cells.shape[1]
+        cells = np.empty((0, width), dtype=object)
+    n = cells.shape[0]
+
+    faults = []  # (row, position in the row's check order, message)
+    features = np.empty((n, len(feat_ix)))
+    for k, j in enumerate(feat_ix):
+        try:
+            features[:, k] = cells[:, j].astype(np.float64)
+        except ValueError:
+            i = _first(cells[:, j], _is_float)
+            faults.append((i, k, f"column '{header[j]}': non-numeric value {cells[i, j]!r}"))
+    labels = None
+    if lab_ix is not None:
+        column = cells[:, lab_ix]
+        distinct = dict.fromkeys(column)
+        ids = {t: int(t.strip()) for t in distinct if t.strip() in ("0", "1")}
+        if len(ids) < len(distinct):
+            i = _first(column, ids.__contains__)
+            faults.append((i, len(feat_ix), f"column '{header[lab_ix]}': "
+                                            f"label must be 0 or 1, got {column[i].strip()!r}"))
+        else:
+            labels = np.fromiter(map(ids.__getitem__, column), dtype=np.int64, count=n)
+    if faults:
+        i, _, message = min(faults)
+        raise ParseError(f"{path}: line {i + 2}, {message}")
+    if ragged is not None:
+        raise ParseError(f"{path}: line {n + 2}: expected {width} cells, got {ragged}")
+    if n == 0:
         raise ValidationError(f"{path}: no data rows")
 
-    mapping = _map_pv_tokens(pv_tokens)
+    mapping = _map_pv_tokens(cells[:, pv_ix])
     ds = LabeledDataset(
-        features=np.array(feats, dtype=np.float64),
-        pv=np.array([mapping[t] for t in pv_tokens], dtype=np.int64),
-        labels=np.array(labels, dtype=np.int64) if lab_ix is not None else None,
+        features=features,
+        pv=np.fromiter(map(mapping.__getitem__, cells[:, pv_ix]), dtype=np.int64, count=n),
+        labels=labels,
         pv_tokens=mapping,
     )
     return ds.validate()

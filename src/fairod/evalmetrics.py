@@ -84,23 +84,29 @@ def fairness_metric(flags: np.ndarray, pv: np.ndarray) -> float | None:
 
 
 def ndcg_group(scores: np.ndarray, base_scores_norm: np.ndarray,
-               group_rows: np.ndarray, idcg: float) -> float | None:
+               group_rows: np.ndarray, idcg: float,
+               group_order: np.ndarray | None = None) -> float | None:
     """Hard-rank NDCG of the model's within-group ordering against gains
     2^s-1 from normalized base scores.  Ranks count members scoring at or
     above each item, so tied items share the deeper rank.  `idcg` is the
     group's ideal DCG (`BaseScoreSet.idcg`, or `losses.idcg_group` of the
-    group's normalized base scores).  Returns None for an all-zero-relevance
-    group."""
+    group's normalized base scores).  `group_order` is the group's rows by
+    descending score (`ScoreSet.group_orders`); without it the group is
+    ranked here.  Returns None for an all-zero-relevance group."""
     rows = np.asarray(group_rows)
     if rows.size == 0:
         raise ValueError("ndcg_group needs a nonempty group")
-    s = np.asarray(scores, dtype=np.float64)[rows]
+    scores = np.asarray(scores, dtype=np.float64)
     rel = np.exp2(np.asarray(base_scores_norm, dtype=np.float64)[rows]) - 1.0
     if idcg == 0.0:
         return None
-    sorted_s = np.sort(s)
-    ranks = s.size - np.searchsorted(sorted_s, s, side="left")
-    dcg = float(np.sum(rel / np.log2(1.0 + ranks)))
+    order = rows[_rank_order(scores[rows])] if group_order is None else group_order
+    ranked = scores[order]
+    # an item's rank is the end of its run of tied scores in the ranking
+    run_ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True)) + 1
+    ranks = np.empty(scores.size, dtype=np.int64)
+    ranks[order] = np.repeat(run_ends, np.diff(run_ends, prepend=0))
+    dcg = float(np.sum(rel / np.log2(1.0 + ranks[rows])))
     return dcg / idcg
 
 
@@ -123,8 +129,8 @@ def group_fidelity(scoreset: ScoreSet, base: BaseScoreSet, groups: GroupView) ->
     relevances; None if any group is degenerate."""
     if len(groups) < 2:
         raise ValueError("group_fidelity needs two or more groups")
-    return _fidelity([ndcg_group(scoreset.scores, base.normalized, groups[g], base.idcg[g])
-                      for g in sorted(groups)])
+    return _fidelity([ndcg_group(scoreset.scores, base.normalized, groups[g], base.idcg[g],
+                                 scoreset.group_orders[g]) for g in sorted(groups)])
 
 
 def _topk_jaccard(order_a: np.ndarray, order_b: np.ndarray, k: int) -> float:
@@ -287,7 +293,8 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
     topk = None
     if base is not None:
         for g in gids:
-            ndcg[g] = ndcg_group(scores, base.normalized, groups[g], base.idcg[g])
+            ndcg[g] = ndcg_group(scores, base.normalized, groups[g], base.idcg[g],
+                                 ss.group_orders[g])
             if ndcg[g] is None:
                 notes.append(f"ndcg degenerate for group {g}: all-zero relevances")
         gf = _fidelity([ndcg[g] for g in gids])

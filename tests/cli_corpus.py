@@ -60,6 +60,10 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
                           "--seed", "1"]),
         ("error-width", ["train", "--data", str(out / "wide.csv"), "--variant", "fairod",
                          "--base", base, "--seed", "1", "--epochs", "2"]),
+        # synth1's CSV has no quotes, so NumPy tokenizes it; these two go
+        # through csv.reader: a quoted pv token, and a ragged row
+        ("eval-quoted", ["eval", "--data", str(out / "quoted.csv"), "--model", base]),
+        ("error-ragged", ["eval", "--data", str(out / "ragged.csv"), "--model", base]),
     ]
     return [(name, argv + ["--out", str(out / name)]) for name, argv in steps]
 
@@ -69,6 +73,10 @@ def run(src: Path, out: Path) -> int:
         sys.exit(f"{out} exists; give a fresh --out path")
     out.mkdir(parents=True)
     (out / "wide.csv").write_text("f_0,f_1,f_2,pv\n1,2,3,a\n4,5,6,b\n2,1,0,a\n3,2,2,b\n")
+    (out / "quoted.csv").write_text('f_0,f_1,pv,label\n180.5,1.25,"x, y",0\n150,0.5,z,0\n'
+                                    '171,9.5,"x, y",1\n155.75,0.125,z,0\n160,12,"x, y",0\n'
+                                    '149,2.5,z,1\n')
+    (out / "ragged.csv").write_text("f_0,f_1,pv\n180,1,a\n150,2,b\n170\n155,3,b\n")
     env = os.environ | {"PYTHONPATH": str(src.resolve())}
     log = []
     for name, argv in commands(out.resolve()):

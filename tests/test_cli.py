@@ -235,6 +235,13 @@ class TestEval:
             assert run(command, "--data", wide, flag, work["base"], *extra,
                        "--out", tmp_path / command) == cli.EXIT_DATA
 
+    def test_field_over_csv_limit_is_data_error(self, work, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text(f"f_0,f_1,pv\n1,2,a\n4,{'5' * 200_000},b\n2,1,a\n3,2,b\n")
+        assert run("eval", "--data", data, "--model", work["base"],
+                   "--out", tmp_path / "ev") == cli.EXIT_DATA
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_missing_model_is_data_error(self, work, tmp_path):
         assert run("eval", "--data", work["data"], "--model", tmp_path / "no.json",
                    "--out", tmp_path) == cli.EXIT_DATA

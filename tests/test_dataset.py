@@ -1,9 +1,13 @@
-"""Dataset tests: CSV round-trip, token mapping, standardization, and the
-synthetic generators."""
+"""Dataset tests: CSV round-trip, token mapping, the columnar loader
+against the row-by-row oracle, standardization, and the synthetic
+generators."""
+
+import csv
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fairod.dataset import (
@@ -11,6 +15,7 @@ from fairod.dataset import (
     ParseError,
     SchemaError,
     ValidationError,
+    _loadtxt_body,
     _map_pv_tokens,
     group_view,
     load_csv,
@@ -95,6 +100,232 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     assert back.pv_tokens == {"a": 0, "b": 1}
     assert standardize(back).pv_tokens == back.pv_tokens
+
+
+# -- the columnar loader against the row-by-row oracle --------------------------
+
+
+def oracle_map_pv_tokens(tokens: list[str]) -> dict[str, int]:
+    """Most frequent token becomes id 0; the rest follow first appearance."""
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    for pos, t in enumerate(tokens):
+        counts[t] = counts.get(t, 0) + 1
+        first_seen.setdefault(t, pos)
+    majority = min(counts, key=lambda t: (-counts[t], first_seen[t]))
+    mapping = {majority: 0}
+    for t in sorted(first_seen, key=first_seen.get):
+        if t not in mapping:
+            mapping[t] = len(mapping)
+    return mapping
+
+
+def oracle_load_csv(path) -> LabeledDataset:
+    """The row-by-row loader: csv.reader, then one float() per cell, row by
+    row, so the first faulty line raises."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not valid UTF-8: {e}") from None
+    if not rows:
+        raise SchemaError(f"{path}: empty file, header required")
+    header = rows[0]
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header")
+    if "pv" not in header:
+        raise SchemaError(f"{path}: missing pv column 'pv'")
+    pv_ix = header.index("pv")
+    lab_ix = header.index("label") if "label" in header else None
+    feat_ix = [j for j in range(len(header)) if j != pv_ix and j != lab_ix]
+    if not feat_ix:
+        raise SchemaError(f"{path}: no feature column besides 'pv' and 'label'")
+
+    feats, pv_tokens, labels = [], [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
+        vals = []
+        for j in feat_ix:
+            try:
+                vals.append(float(row[j]))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {line_no}, column '{header[j]}': "
+                    f"non-numeric value {row[j]!r}") from None
+        feats.append(vals)
+        pv_tokens.append(row[pv_ix])
+        if lab_ix is not None:
+            tok = row[lab_ix].strip()
+            if tok not in ("0", "1"):
+                raise ParseError(
+                    f"{path}: line {line_no}, column '{header[lab_ix]}': "
+                    f"label must be 0 or 1, got {tok!r}")
+            labels.append(int(tok))
+    if not feats:
+        raise ValidationError(f"{path}: no data rows")
+
+    mapping = oracle_map_pv_tokens(pv_tokens)
+    ds = LabeledDataset(
+        features=np.array(feats, dtype=np.float64),
+        pv=np.array([mapping[t] for t in pv_tokens], dtype=np.int64),
+        labels=np.array(labels, dtype=np.int64) if lab_ix is not None else None,
+        pv_tokens=mapping,
+    )
+    return ds.validate()
+
+
+def outcome(load, path):
+    """A loader's result as comparable bytes, or its exception type and message."""
+    try:
+        ds = load(path)
+    except Exception as e:  # the exception type is part of the outcome
+        return type(e), str(e)
+    arrays = (ds.features, ds.pv, ds.labels)
+    return ([None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            list(ds.pv_tokens.items()))
+
+
+def assert_loads_like_oracle(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(load_csv, path)
+    assert got == outcome(oracle_load_csv, path)
+    return got
+
+
+HEADERS = [["f_0", "pv"], ["f_0", "f_1", "pv", "label"], ["label", "f_0", "pv", "f_1"],
+           ["pv", "x"]]
+BAD_HEADERS = [["f_0", "f_0", "pv"], ["f_0", "label"]]
+FEATURES = ["1", "-2.5", "0", "3.25e-3", "%.17g" % 0.1, "1e500", "-inf", "nan", "-0.0",
+            " 2 ", "\t7", "1_0", "٣", " 1 "]
+BAD_FEATURES = ["", "abc", "1,5", "0x1", "1 2"]
+LABELS = ["0", "1", " 1", "0 ", "\t1"]
+BAD_LABELS = ["2", "x", "", "1,0"]
+PVS = ["a", "b"]
+ODD_PVS = [" a", "a ", "c", "a,b", 'q"x', "two\nlines", "cr\rlf", "", "é"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts around the loader's edges: every line ending, blank and
+    whitespace-only lines, ragged rows, quoted cells holding commas, line
+    breaks and doubled quotes, odd float spellings, padded labels and pv
+    tokens, a header-only body, and a missing final line break.  Each kind
+    of fault is switched on for a third of the texts, so clean texts, which
+    NumPy tokenizes, are common too."""
+    def maybe(pool, extra):
+        return pool + extra if draw(st.integers(0, 2)) == 0 else pool
+
+    header = draw(st.sampled_from(maybe(HEADERS, BAD_HEADERS)))
+    pools = {"pv": maybe(PVS, ODD_PVS), "label": maybe(LABELS, BAD_LABELS)}
+    features = maybe(FEATURES, BAD_FEATURES)
+    shapes = maybe(["ok"] * 4, ["short", "long", "blank", "space"])
+    quote_some = draw(st.integers(0, 2)) == 0
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.sampled_from(pools.get(name, features))) for name in header]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row = row + ["1"]
+        elif shape == "blank":
+            row = []
+        elif shape == "space":
+            row = [draw(st.sampled_from([" ", "\t", "  "]))]
+        lines.append(row)
+
+    def cell(text):
+        if any(c in text for c in ',"\r\n') or (quote_some and draw(st.booleans())):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    endings = maybe([draw(st.sampled_from(["\n", "\r\n", "\r"]))], ["\n", "\r\n", "\r"])
+    out = "".join(",".join(cell(c) for c in row) + draw(st.sampled_from(endings))
+                  for row in lines)
+    return out if draw(st.booleans()) else out.rstrip("\r\n")
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "d.csv"
+
+
+@settings(max_examples=400)
+@given(csv_texts())
+def test_load_csv_matches_row_by_row_oracle(csv_path, text):
+    csv_path.write_bytes(text.encode("utf-8"))
+    assert_loads_like_oracle(csv_path)
+
+
+@pytest.mark.parametrize("text", [
+    "x,pv\n1,a\nzz,b\n2\n",  # a bad cell on an earlier line than a ragged row
+    "x,pv\n1,a\n3\nq,b\n",  # a ragged row on an earlier line than a bad cell
+    "x,pv,label\n1,a,0\nz,b,7\n",  # one line, two faults: the feature comes first
+    "x,y,pv,label\n1,2,a,0\n3,4,b,9\n5,q,b,0\n",  # the label's line is earlier
+    "x,pv\n1,a\n2,a\n\n3,b\n4,b\n",  # a blank line
+    "x,pv\r1,a\r2,a\r3,b\r4,b\r",  # lone carriage returns
+    "x,pv\n1,a\r2,a\n3,b\n4,b\n",  # one lone carriage return
+    "x,pv\n",
+    "x,pv\n\n",
+    "x,pv\r\n\r\n",
+    "x,pv",
+    "",
+], ids=["bad-cell-before-ragged", "ragged-before-bad-cell", "feature-before-label", "label-line-first",
+        "blank-line", "cr", "one-cr", "header-only", "header-blank", "header-blank-crlf",
+        "header-no-newline", "empty"])
+def test_load_csv_pinned_cases_match_oracle(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_loads_like_oracle(path)
+
+
+def test_first_faulty_line_wins_over_a_later_ragged_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x,pv\n1,a\nzz,b\n2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 3, column 'x': non-numeric value 'zz'"):
+        load_csv(path)
+
+
+def test_header_only_file_warns_nothing(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("f_0,pv\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="no data rows"):
+            load_csv(path)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_field_over_csv_limit_is_parse_error(tmp_path, quoted):
+    huge = "7" * (csv.field_size_limit() + 1)
+    path = tmp_path / "d.csv"
+    last = '"b"' if quoted else "b"
+    path.write_text(f"f_0,pv\n1,a\n{huge},a\n2,b\n3,{last}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line 3: field larger than field limit"):
+        load_csv(path)
+
+
+def test_invalid_utf8_message_matches_oracle(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"f_0,pv\n" + b"1,a\n" * 5000 + b"2,\xff\n")
+    got = assert_loads_like_oracle(path)
+    assert got[0] is ParseError and "not valid UTF-8" in got[1]
+
+
+def test_loadtxt_body_only_for_files_it_splits_like_csv(tmp_path):
+    ds = make_synth1(40, 10, 4, seed=1)
+    save_csv(ds, tmp_path / "s.csv")
+    text = (tmp_path / "s.csv").read_text(encoding="utf-8")  # csv.writer ends lines in \r\n
+    cells = _loadtxt_body(text)
+    assert cells.shape == (50, 4) and cells[0, 2] == "a"
+    assert _loadtxt_body(text.replace("\r\n", "\n")).shape == (50, 4)
+    assert _loadtxt_body(text.rstrip()).shape == (50, 4)
+    long_line = "f_0,pv\n" + "1" * csv.field_size_limit() + "1,a\n"
+    for other in ['f_0,pv\n1,"a"\n', "f_0,pv\n1,a\n\n2,b\n", "f_0,pv\n1,a\r\n\r\n",
+                  "f_0,pv\r1,a\r", "f_0,pv\n1,a\r2,b\n", "f_0,pv\n", "f_0,pv\n1\n", long_line]:
+        assert _loadtxt_body(other) is None, other
 
 
 def test_standardize_hand_example():

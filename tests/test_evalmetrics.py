@@ -210,6 +210,27 @@ def test_ndcg_group_monotone_transform_invariant():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@given(st.data())
+def test_ndcg_group_ranks_count_members_at_or_above(data):
+    """The tie-run ranks read from the group's ranking equal a brute-force
+    count of the members scoring at or above each item, bit for bit, with
+    or without the ScoreSet's ranking passed in."""
+    n = data.draw(st.integers(2, 60))
+    levels = np.array(data.draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 7.0]),
+                                         min_size=n, max_size=n)))
+    pv = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    pv[:2] = [0, 1]
+    base_norm = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    ss = ScoreSet.from_scores(levels, pv, 0.1)
+    for g, rows in group_view(make_ds(n, pv)).items():
+        s = levels[rows]
+        ranks = (s[None, :] >= s[:, None]).sum(axis=1)
+        idcg = 1.0 + float(rows.size)  # any nonzero ideal DCG: the check is the DCG
+        want = float(np.sum((np.exp2(base_norm[rows]) - 1.0) / np.log2(1.0 + ranks))) / idcg
+        assert ndcg_group(levels, base_norm, rows, idcg) == want
+        assert ndcg_group(levels, base_norm, rows, idcg, ss.group_orders[g]) == want
+
+
 def test_harmonic_mean_conventions():
     assert harmonic_mean([1.0, 0.5]) == pytest.approx(2 / 3)
     assert harmonic_mean([1.0, 0.1]) == pytest.approx(0.18181818181818182)
