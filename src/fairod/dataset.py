@@ -126,20 +126,17 @@ def _map_pv_tokens(tokens: Iterable[str]) -> dict[str, int]:
 
 
 def _read_text(path) -> str:
-    """The file's text, line ends untranslated."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError:
-            # decode again line by line, so the message names the position
-            # a line reader reports
-            fh.seek(0)
-            try:
-                for _ in fh:
-                    pass
-            except UnicodeDecodeError as e:
-                raise ParseError(f"{path}: not valid UTF-8: {e}") from None
-            raise
+    """The file's text, line ends untranslated.  Bytes that are not UTF-8
+    are a ParseError naming the line and the file offset of the first."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"{path}: line {line}: not valid UTF-8: byte 0x{data[e.start]:02x} "
+                         f"at file offset {e.start}: {e.reason}") from None
 
 
 def _records(text: str, path) -> list[list[str]]:

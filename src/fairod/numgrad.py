@@ -15,8 +15,10 @@ objective's terms, `TotalLossSpec.terms`, so they cannot disagree on which
 terms are summed, with which weights, or in which order.  The tape keeps
 only the operations those losses and the detector use.
 
-Everything is deterministic: no randomness, no threading, accumulation
-order fixed by graph construction order.
+Everything is deterministic: no randomness, accumulation order fixed by
+graph construction order.  The smoothed-rank node runs a large group's
+blocks on threads but adds their partial sums in block order, so its bits
+do not depend on the number of threads.
 """
 
 from __future__ import annotations

@@ -34,6 +34,9 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
     data = str(out / "synth1" / "dataset.csv")
     base = str(out / "base" / "fit.json")
     fit = ["--data", data, "--seed", "3", "--epochs", "30", "--lr", "0.05", "--standardize"]
+    base_1200 = str(out / "base-1200" / "fit.json")
+    fit_1200 = ["--data", str(out / "synth1-1200" / "dataset.csv"), "--seed", "4",
+                "--epochs", "20", "--lr", "0.05", "--standardize"]
     steps = [
         ("synth1", ["synth", "synth1", "--major", "300", "--minor", "60", "--outliers", "20",
                     "--seed", "7"]),
@@ -64,6 +67,15 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
         # through csv.reader: a quoted pv token, and a ragged row
         ("eval-quoted", ["eval", "--data", str(out / "quoted.csv"), "--model", base]),
         ("error-ragged", ["eval", "--data", str(out / "ragged.csv"), "--model", base]),
+        # a 1200-row majority group: more rank blocks than run serially, so
+        # the fairod fit ranks it on threads and the grid's forked cells
+        # rank it serially
+        ("synth1-1200", ["synth", "synth1", "--major", "1200", "--minor", "80", "--outliers",
+                         "30", "--seed", "11"]),
+        ("base-1200", ["train", *fit_1200, "--variant", "base", "--base-seeds", "1"]),
+        ("fairod-1200", ["train", *fit_1200, "--variant", "fairod", "--base", base_1200]),
+        ("grid-1200-jobs2", ["grid", *fit_1200, "--base", base_1200, "--jobs", "2",
+                             "--alpha-grid", "0.01,0.5", "--gamma-grid", "0.1,1"]),
     ]
     return [(name, argv + ["--out", str(out / name)]) for name, argv in steps]
 

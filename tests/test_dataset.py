@@ -123,11 +123,17 @@ def oracle_map_pv_tokens(tokens: list[str]) -> dict[str, int]:
 def oracle_load_csv(path) -> LabeledDataset:
     """The row-by-row loader: csv.reader, then one float() per cell, row by
     row, so the first faulty line raises."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not valid UTF-8: {e}") from None
+    data, offset = path.read_bytes(), 0
+    for line, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            at = offset + e.start
+            raise ParseError(f"{path}: line {line}: not valid UTF-8: byte 0x{data[at]:02x} "
+                             f"at file offset {at}: {e.reason}") from None
+        offset += len(raw)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise SchemaError(f"{path}: empty file, header required")
     header = rows[0]
@@ -312,6 +318,18 @@ def test_invalid_utf8_message_matches_oracle(tmp_path):
     path.write_bytes(b"f_0,pv\n" + b"1,a\n" * 5000 + b"2,\xff\n")
     got = assert_loads_like_oracle(path)
     assert got[0] is ParseError and "not valid UTF-8" in got[1]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_invalid_utf8_message_names_the_line_and_file_offset(tmp_path, end):
+    # past the first 8 KiB, where a decode chunk's position is not the file's
+    path = tmp_path / "d.csv"
+    head = f"f_0,pv{end}".encode() + f"1,a{end}".encode() * 5000
+    path.write_bytes(head + b"\xff,a" + end.encode())
+    got = assert_loads_like_oracle(path)
+    assert got == (ParseError, f"{path}: line 5002: not valid UTF-8: byte 0xff at file "
+                               f"offset {len(head)}: invalid start byte")
+    assert len(head) == {"\n": 20_007, "\r\n": 25_008, "\r": 20_007}[end]
 
 
 def test_loadtxt_body_only_for_files_it_splits_like_csv(tmp_path):

@@ -5,13 +5,16 @@ and a per-pair oracle with exact row sums, correlations against numpy's
 corrcoef, and the fused loss and gradient against the tape."""
 
 import math
+import sys
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fairod import losses
 from fairod.dataset import pv_groups
 from fairod.detector import AEConfig, init_params, score
 from fairod.losses import (
@@ -21,6 +24,7 @@ from fairod.losses import (
     LossWeights,
     TotalLossSpec,
     _pairwise_rank_graph,
+    _pairwise_ranks,
     idcg_group,
     loss_base,
     loss_gf,
@@ -313,6 +317,53 @@ def test_rank_node_memory_is_linear_in_group_size():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_rank_node_memory_stays_linear_on_threads(cpus, monkeypatch):
+    monkeypatch.setattr(losses, "_cpu_count", lambda: cpus)
+    test_rank_node_memory_is_linear_in_group_size()
+
+
+# -- the smoothed-rank blocks on threads -------------------------------------------------
+
+
+@contextmanager
+def cpus_seen(k):
+    """The rank pool sizes itself as if the process could run on k CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_cpu_count", lambda: k)
+        yield
+
+
+THREADED_ROWS = losses._RANK_SERIAL_BLOCKS * losses._RANK_BLOCK  # more rows than this
+
+
+@given(st.one_of(st.integers(1, 1100),
+                 st.sampled_from([THREADED_ROWS + d for d in (-64, -63, 0, 1, 64, 65)])),
+       st.integers(0, 10 ** 6))
+def test_rank_node_bits_do_not_depend_on_the_worker_count(n, seed):
+    rng = np.random.default_rng(seed)
+    s, g = unit_scores(rng, n), rng.normal(size=n)
+    outs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, more task orders
+    try:
+        for k in (1, 2, 3, 5):
+            with cpus_seen(k):
+                ranks, vjp = _pairwise_ranks(s, 50.0)
+                outs.append((ranks.tobytes(), vjp(g).tobytes()))
+    finally:
+        sys.setswitchinterval(switch)
+    assert outs[1:] == outs[:1] * 3
+
+
+def test_threaded_rank_blocks_keep_the_callers_errstate():
+    n = THREADED_ROWS + losses._RANK_BLOCK
+    s = np.linspace(-1.0, 1.0, n)
+    s[n // 2] = np.inf  # its own pair is inf - inf
+    with cpus_seen(2), np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        _pairwise_ranks(s, 50.0)
 
 
 # -- idcg ---------------------------------------------------------------------------
