@@ -7,11 +7,22 @@ sums, with which weights, in which order, under which names.  Both
 evaluators loop over that list.  Training calls
 `TotalLossSpec.loss_and_grad`: one numpy pass per term over the score
 vector, each with a hand-written vector-Jacobian product (closed-form
-|Pearson| derivatives, the blocked smoothed-rank pullback), chained through
-the detector's pullback.  The public value functions and
+|Pearson| derivatives, the smoothed-rank pullback), chained through the
+detector's pullback.  The public value functions and
 `TotalLossSpec.components` build the same terms on the `numgrad` tape with
-the same operations in the same order, so both paths give the same loss
-bits; the tape's gradient is the oracle the fused one is tested against.
+the same operations in the same order; the tape's gradient is the oracle
+the fused one is tested against.
+
+The tape, `total_loss` and `smooth_rank` always rank exactly
+(`_pairwise_ranks`).  The fused pass does too, except for a group of at
+least _BINNED_MIN_ROWS rows whose binned ranks (`_binned_ranks`) are
+predicted cheaper than the exact ones (`_rank_bins` states the rule and
+its measured constants).  Below that size, every minibatch group among
+them, both paths give the same loss bits.  Above it the binned gf term is
+within 1e-3 per group of the exact one and its gradient has a cosine of
+at least 0.9999 with the exact gradient (tested on heavy-tailed inputs;
+at the models the full-batch synth1 fit returns for seeds 1-10, within
+4e-5 relative and above 0.99999997).
 
 Two epsilons appear throughout: EPS_DENOM (1e-8) guards correlation/scale
 denominators, and EPS_VAR (1e-16) is added under square roots so gradients
@@ -218,6 +229,26 @@ _RANK_BLOCK = 64
 _RANK_SERIAL_BLOCKS = 12
 _RANK_MAX_THREADS = 6
 
+# The fused pass ranks a group of at least _BINNED_MIN_ROWS rows on a grid
+# (`_binned_ranks`) when the grid costs less than the pairs: bins *
+# _PAIRS_PER_BIN < n^2, with c * (grid step) <= _BIN_STEP and at most
+# _BINNED_MAX_BINS bins.  Measured on a 2-CPU box, forward pass and VJP at
+# c = 50 (median of 9-21): the exact pass takes 4.7-5.7 ns per pair at
+# 768-3000 rows, serial or on threads (a free second CPU made it up to 1.8x
+# faster in earlier runs); the binned pass takes 0.64-0.92 ms at 4096 bins,
+# 1.5-1.7 ms at 8192, 2.0-4.3 ms at 16384, 6.7-9.2 ms at 32768 and 45 ms at
+# 131072 (220-350 ns per bin, rising with the grid), plus about 70 ns per
+# row.  Its peak memory at 131072 bins is 10 MiB at 2000 rows and 15 MiB at
+# 10^5.  At _BIN_STEP = 0.1 the rank error on recorded synth1 fits (2000
+# rows, ranges 11-30) was at most 0.23 and the gf term's relative error at
+# most 3e-4; it grows as _BIN_STEP squared.  Below _BINNED_MIN_ROWS the exact
+# pass costs at most about 5 ms, and every group there stays exact, the
+# threaded groups of 769-1023 rows and every minibatch group among them.
+_BINNED_MIN_ROWS = 1024
+_BIN_STEP = 0.1
+_PAIRS_PER_BIN = 50
+_BINNED_MAX_BINS = 1 << 17
+
 _rank_pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, pool)
 _rank_pool_lock = threading.Lock()
 _rank_threads_allowed = True  # False in a forked child: its parent's pool owns the cores
@@ -348,6 +379,76 @@ def _pairwise_ranks(s: np.ndarray, c: float):
     return ranks, vjp
 
 
+def _binned_ranks(s: np.ndarray, c: float, bins: int):
+    """`_pairwise_ranks` approximated on a grid of `bins` points (a power
+    of two, at least 2) spanning [min s, max s], which must be a positive
+    finite range: O(n + bins log bins) time and O(bins) memory.
+
+    Each score is split linearly between its two neighbouring grid points
+    (linear binning), each sum over k becomes a correlation of the grid
+    weights with a kernel, computed by real FFTs of length 2 bins (no
+    wrap-around, since grid offsets are below bins), and the grid result
+    is interpolated back linearly at each score.  This is the binned kernel
+    density estimate (Silverman 1982, Applied Statistics AS 176).
+
+    The forward pass correlates the weights with tanh(c d / 2), the VJP the
+    g-weighted and the plain weights with D(d) = (c/4)(1 - tanh^2(c d / 2)):
+    out_j = sum_i g_i D(s_j - s_i) - g_j sum_k D(s_k - s_j), whose self
+    terms cancel.  Ties add no error of their own in the forward pass: tied
+    scores share their weights, and tanh is odd.
+    """
+    n, size = s.size, 2 * bins
+    lo = s.min()
+    step = (s.max() - lo) / (bins - 1)
+    pos = (s - lo) * (1.0 / step)
+    left = np.minimum(pos.astype(np.intp), bins - 2)
+    right_w = pos - left
+    left_w = 1.0 - right_w
+
+    def spread(weights_left, weights_right):  # onto the grid, in the FFT's domain
+        return np.fft.rfft(np.bincount(left, weights_left, bins)
+                           + np.bincount(left + 1, weights_right, bins), size)
+
+    def gather(spectrum):  # the correlation's grid values, interpolated at s
+        grid = np.fft.irfft(spectrum, size)
+        return grid[left] * left_w + grid[left + 1] * right_w
+
+    # offsets j - m of the circular correlation; slot `bins` is never read
+    t = np.tanh(np.r_[0:bins, 0, 1 - bins:0] * (-0.5 * c * step))
+    weights = spread(left_w, right_w)
+    ranks = gather(weights * np.fft.rfft(t)) * 0.5 + (0.5 + 0.5 * n)
+
+    def vjp(g):
+        d = np.fft.rfft(1.0 - t * t)
+        return (0.25 * c) * (gather(spread(g * left_w, g * right_w) * d)
+                             - g * gather(weights * d))
+
+    return ranks, vjp
+
+
+def _rank_bins(s: np.ndarray, c: float) -> int:
+    """The grid size `_binned_ranks` would rank s with, or 0 where the
+    exact `_pairwise_ranks` is the one to run."""
+    n = s.size
+    if n < _BINNED_MIN_ROWS:
+        return 0
+    # grid points for c * step <= _BIN_STEP; a zero range (all ties) is
+    # ranked exactly, and a NaN or infinite one fails on the exact path as
+    # it does for any other group
+    need = c * float(s.max() - s.min()) / _BIN_STEP + 1.0
+    if not 1.0 < need <= _BINNED_MAX_BINS:
+        return 0
+    bins = 1 << math.ceil(math.log2(need))
+    return bins if bins * _PAIRS_PER_BIN < n * n else 0
+
+
+def _group_ranks(s: np.ndarray, c: float):
+    """The fused pass's smoothed ranks of one group and their VJP: binned
+    where `_rank_bins` picks a grid, exact otherwise."""
+    bins = _rank_bins(s, c)
+    return _binned_ranks(s, c, bins) if bins else _pairwise_ranks(s, c)
+
+
 def _pairwise_rank_graph(su: Var, c: float) -> Var:
     """`_pairwise_ranks` as one tape node."""
     ranks, vjp = _pairwise_ranks(su.value, c)
@@ -394,7 +495,7 @@ def _loss_gf_vjp(scores: np.ndarray, base: BaseScoreSet, groups: GroupView,
             continue
         rel = base.relevance[idx]
         su, unit_pullback = _unit_scale_vjp(scores[idx])
-        ranks, rank_pullback = _pairwise_ranks(su, c)
+        ranks, rank_pullback = _group_ranks(su, c)
         denom = np.log(ranks + 1.0) * (1.0 / _LN2) * idcg
         value += 1.0 - (rel / denom).sum()
         g_ranks = rel / (denom * denom) * (idcg / _LN2) / (ranks + 1.0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -67,17 +68,33 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
         # through csv.reader: a quoted pv token, and a ragged row
         ("eval-quoted", ["eval", "--data", str(out / "quoted.csv"), "--model", base]),
         ("error-ragged", ["eval", "--data", str(out / "ragged.csv"), "--model", base]),
-        # a 1200-row majority group: more rank blocks than run serially, so
-        # the fairod fit ranks it on threads and the grid's forked cells
-        # rank it serially
+        # a 1200-row majority group, which full-batch training ranks on a
+        # grid (losses._rank_bins), in the grid's forked cells too
         ("synth1-1200", ["synth", "synth1", "--major", "1200", "--minor", "80", "--outliers",
                          "30", "--seed", "11"]),
         ("base-1200", ["train", *fit_1200, "--variant", "base", "--base-seeds", "1"]),
         ("fairod-1200", ["train", *fit_1200, "--variant", "fairod", "--base", base_1200]),
         ("grid-1200-jobs2", ["grid", *fit_1200, "--base", base_1200, "--jobs", "2",
                              "--alpha-grid", "0.01,0.5", "--gamma-grid", "0.1,1"]),
+        # one row at (1000, -1000) among standard normal rows stretches the
+        # 1200-row group's unit-scaled scores to a range of about 34.7: too
+        # many bins, so training ranks the group exactly, on threads
+        ("fairod-outlier", ["train", "--data", str(out / "outlier.csv"), "--seed", "5",
+                            "--epochs", "20", "--lr", "0.05", "--standardize",
+                            "--variant", "fairod", "--base", base_1200]),
     ]
     return [(name, argv + ["--out", str(out / name)]) for name, argv in steps]
+
+
+def outlier_csv() -> str:
+    """1200 rows of group a and 80 of group b, two standard normal features,
+    and the first row at (1000, -1000)."""
+    rng = random.Random(13)
+    lines = ["f_0,f_1,pv"]
+    for i in range(1280):
+        x = (1000.0, -1000.0) if i == 0 else (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        lines.append(f"{x[0]:.6f},{x[1]:.6f},{'a' if i < 1200 else 'b'}")
+    return "\n".join(lines) + "\n"
 
 
 def run(src: Path, out: Path) -> int:
@@ -89,6 +106,7 @@ def run(src: Path, out: Path) -> int:
                                     '171,9.5,"x, y",1\n155.75,0.125,z,0\n160,12,"x, y",0\n'
                                     '149,2.5,z,1\n')
     (out / "ragged.csv").write_text("f_0,f_1,pv\n180,1,a\n150,2,b\n170\n155,3,b\n")
+    (out / "outlier.csv").write_text(outlier_csv())
     env = os.environ | {"PYTHONPATH": str(src.resolve())}
     log = []
     for name, argv in commands(out.resolve()):

@@ -5,6 +5,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairod import cli
@@ -176,6 +177,33 @@ class TestTrain:
         cfg.write_text("lr 0.2\n")
         assert run("train", "--data", work["data"], "--variant", "base", "--seed", 1,
                    "--config", cfg, "--out", tmp_path) == cli.EXIT_USAGE
+
+    def test_non_finite_ranks_of_a_large_group_are_numeric_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # a group large enough for the binned ranks still fails as loss_gf
+        from fairod import losses
+
+        n = losses._BINNED_MIN_ROWS + 100
+        assert run("synth", "synth1", "--major", n, "--minor", 60, "--outliers", 20,
+                   "--seed", 2, "--out", tmp_path / "data") == 0
+        data = tmp_path / "data" / "dataset.csv"
+        assert run("train", "--data", data, "--variant", "base", "--seed", 1, "--epochs", 2,
+                   "--base-seeds", 1, "--out", tmp_path / "base") == 0
+        real = losses._unit_scale_vjp
+
+        def poisoned(x):
+            su, pullback = real(x)
+            return (np.where(np.arange(su.size) == 0, np.nan, su) if su.size == n else su,
+                    pullback)
+
+        monkeypatch.setattr(losses, "_unit_scale_vjp", poisoned)
+        with np.errstate(invalid="ignore"):
+            code = run("train", "--data", data, "--variant", "fairod", "--seed", 1,
+                       "--base", tmp_path / "base" / "fit.json", "--epochs", 2,
+                       "--out", tmp_path / "out")
+        assert code == cli.EXIT_NUMERIC
+        assert "loss_gf: non-finite value or gradient" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fit.json").exists()
 
     def test_training_failure_maps_to_numeric_exit(self, work, tmp_path, monkeypatch):
         def boom(*a, **k):

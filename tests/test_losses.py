@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairod import losses
-from fairod.dataset import pv_groups
+from fairod.dataset import LabeledDataset, pv_groups
 from fairod.detector import AEConfig, init_params, score
 from fairod.losses import (
     VARIANTS,
@@ -364,6 +364,149 @@ def test_threaded_rank_blocks_keep_the_callers_errstate():
     s[n // 2] = np.inf  # its own pair is inf - inf
     with cpus_seen(2), np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         _pairwise_ranks(s, 50.0)
+
+
+# -- binned smoothed ranks against the exact path ----------------------------------------
+
+
+BINNED_ROWS = losses._BINNED_MIN_ROWS  # the smallest group the fused pass may bin
+GF_TOL = 1e-3  # binned gf term vs the tape's, absolute, for one group (its term lies in [0, 1))
+
+
+def cosine(a, b):
+    return a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def heavy_tailed_scores(rng, n, df, outlier):
+    """Non-negative scores with Student-t tails, and optionally one row a
+    million times the largest, as a diverging reconstruction error would be."""
+    s = np.abs(rng.standard_t(df, size=n))
+    if outlier:
+        s[rng.integers(n)] = 1e6 * s.max()
+    return s
+
+
+@given(st.one_of(st.integers(BINNED_ROWS - 100, 2 * BINNED_ROWS),
+                 st.sampled_from([BINNED_ROWS - 1, BINNED_ROWS])),
+       st.sampled_from([1.0, 2.0, 3.0, 10.0]), st.booleans(), st.integers(0, 10 ** 6))
+def test_fused_gf_term_tracks_the_exact_path_on_both_sides_of_the_binned_rule(
+        n, df, outlier, seed):
+    rng = np.random.default_rng(seed)
+    scores = heavy_tailed_scores(rng, n, df, outlier)
+    groups = {0: np.arange(n)}
+    base = make_base(scores * rng.lognormal(sigma=0.5, size=n), groups)
+    c = 50.0
+    value, grad = losses._loss_gf_vjp(scores, base, groups, c)
+    s = leaf(scores, "s")
+    term = losses.loss_gf_graph(s, base, groups, c)
+    term.backward()
+    su = losses._unit_scale_vjp(scores)[0]
+    g = rng.normal(size=n)
+    ranks, vjp = losses._group_ranks(su, c)
+    exact_ranks, exact_vjp = _pairwise_ranks(su, c)
+    if losses._rank_bins(su, c) == 0:
+        assert value == term.value
+        assert ranks.tobytes() == exact_ranks.tobytes()
+        assert vjp(g).tobytes() == exact_vjp(g).tobytes()
+        return
+    assert n >= BINNED_ROWS
+    assert abs(value - term.value) <= GF_TOL
+    assert cosine(grad, s.grad) >= 0.9999
+    assert cosine(vjp(g), exact_vjp(g)) >= 0.9999
+    # deterministic, and equivariant under a permutation of the group
+    again_ranks, again_vjp = losses._group_ranks(su, c)
+    assert again_ranks.tobytes() == ranks.tobytes()
+    assert again_vjp(g).tobytes() == vjp(g).tobytes()
+    p = rng.permutation(n)
+    ranks_p, vjp_p = losses._group_ranks(su[p], c)
+    assert np.abs(ranks_p - ranks[p]).max() <= 1e-12 * np.abs(ranks).max()
+    assert np.abs(vjp_p(g[p]) - vjp(g)[p]).max() <= 1e-12 * np.abs(vjp(g)).max()
+
+
+@pytest.mark.parametrize("outlier, binned", [(False, True), (True, False)])
+def test_an_extreme_outlier_sends_a_large_group_to_the_exact_path(outlier, binned):
+    # one row at 10^6 times the rest stretches a 1200-row group's unit-scaled
+    # range to about sqrt(1200): 32768 bins, dearer than its 1.44M pairs
+    rng = np.random.default_rng(5)
+    su = losses._unit_scale_vjp(heavy_tailed_scores(rng, 1200, 3.0, outlier))[0]
+    bins = losses._rank_bins(su, 50.0)
+    assert (bins > 0) == binned
+    if outlier:
+        assert np.ptp(su) > 34.0
+        assert losses._group_ranks(su, 50.0)[0].tobytes() == \
+            _pairwise_ranks(su, 50.0)[0].tobytes()
+
+
+@given(st.integers(1, 64), st.floats(0.0, 1e6), st.floats(1e-3, 1e4), st.integers(0, 10 ** 6))
+def test_no_minibatch_group_is_binned(n, spread, c, seed):
+    s = np.random.default_rng(seed).normal(size=n) * spread
+    assert losses._rank_bins(s, c) == 0
+
+
+def test_minibatch_fit_of_a_large_group_never_bins(monkeypatch):
+    from fairod.training import TrainConfig, fit_base, fit_fairod
+
+    rng = np.random.default_rng(3)
+    pv = np.array([0] * 2 * BINNED_ROWS + [1] * 100)
+    ds = LabeledDataset(features=rng.normal(size=(pv.size, 2)), pv=pv, labels=None)
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=2, seed=1))
+
+    def refuse(*args):
+        raise AssertionError("a minibatch group was binned")
+
+    monkeypatch.setattr(losses, "_binned_ranks", refuse)
+    fit = fit_fairod(ds, base, TrainConfig(epochs=1, seed=1, batch_size=64))
+    assert np.all(np.isfinite(fit.scores))
+    with pytest.raises(AssertionError, match="binned"):  # the full batch does bin it
+        fit_fairod(ds, base, TrainConfig(epochs=1, seed=1))
+
+
+def test_zero_range_large_group_ranks_exactly():
+    n, c = 2 * BINNED_ROWS, 50.0
+    s = np.full(n, 0.25)
+    g = np.random.default_rng(0).normal(size=n)
+    assert losses._rank_bins(s, c) == 0
+    ranks, vjp = losses._group_ranks(s, c)
+    assert np.all(ranks == 0.5 + 0.5 * n)
+    assert vjp(g).tobytes() == _pairwise_ranks(s, c)[1](g).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_unit_scores_of_a_large_group_fail_as_loss_gf(bad, monkeypatch, rng):
+    n = 2 * BINNED_ROWS
+    s = rng.normal(size=n)
+    s[7] = bad
+    assert losses._rank_bins(s, 50.0) == 0  # the exact path's failure, not OverflowError
+    real = losses._unit_scale_vjp
+
+    def poisoned(x):
+        su, pullback = real(x)
+        if su.size == n:
+            su = su.copy()
+            su[7] = bad
+        return su, pullback
+
+    monkeypatch.setattr(losses, "_unit_scale_vjp", poisoned)
+    X = rng.normal(size=(n + 50, 3))
+    pv = np.array([0] * n + [1] * 50)
+    base = BaseScoreSet.from_scores(rng.exponential(size=pv.size), groups_of(pv))
+    spec = TotalLossSpec(variant="fairod", weights=LossWeights(0.5, 0.1), pv=pv, base=base)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalOverflowError, match="^loss_gf: non-finite"):
+        eval_loss_grad_components(perturbed_params(rng, 3), X, spec)
+
+
+def test_binned_rank_memory_at_the_grid_cap():
+    rng = np.random.default_rng(0)
+    n = 4000
+    s, g = unit_scores(rng, n), rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        losses._binned_ranks(s, 50.0, losses._BINNED_MAX_BINS)[1](g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # -- idcg ---------------------------------------------------------------------------
