@@ -22,7 +22,10 @@ them, both paths give the same loss bits.  Above it the binned gf term is
 within 1e-3 per group of the exact one and its gradient has a cosine of
 at least 0.9999 with the exact gradient (tested on heavy-tailed inputs;
 at the models the full-batch synth1 fit returns for seeds 1-10, within
-4e-5 relative and above 0.99999997).
+5e-5 relative and above 0.99999997).  The binned pass keeps the spectra of its
+two kernels between calls, one pair per FFT length (`_kernel_spectra`, at
+most 8 MiB); they depend on nothing else, so a cold and a warm cache give
+the same bits, and a forked grid cell inherits its parent's.
 
 Two epsilons appear throughout: EPS_DENOM (1e-8) guards correlation/scale
 denominators, and EPS_VAR (1e-16) is added under square roots so gradients
@@ -230,24 +233,40 @@ _RANK_SERIAL_BLOCKS = 12
 _RANK_MAX_THREADS = 6
 
 # The fused pass ranks a group of at least _BINNED_MIN_ROWS rows on a grid
-# (`_binned_ranks`) when the grid costs less than the pairs: bins *
-# _PAIRS_PER_BIN < n^2, with c * (grid step) <= _BIN_STEP and at most
-# _BINNED_MAX_BINS bins.  Measured on a 2-CPU box, forward pass and VJP at
-# c = 50 (median of 9-21): the exact pass takes 4.7-5.7 ns per pair at
-# 768-3000 rows, serial or on threads (a free second CPU made it up to 1.8x
-# faster in earlier runs); the binned pass takes 0.64-0.92 ms at 4096 bins,
-# 1.5-1.7 ms at 8192, 2.0-4.3 ms at 16384, 6.7-9.2 ms at 32768 and 45 ms at
-# 131072 (220-350 ns per bin, rising with the grid), plus about 70 ns per
-# row.  Its peak memory at 131072 bins is 10 MiB at 2000 rows and 15 MiB at
-# 10^5.  At _BIN_STEP = 0.1 the rank error on recorded synth1 fits (2000
-# rows, ranges 11-30) was at most 0.23 and the gf term's relative error at
-# most 3e-4; it grows as _BIN_STEP squared.  Below _BINNED_MIN_ROWS the exact
-# pass costs at most about 5 ms, and every group there stays exact, the
-# threaded groups of 769-1023 rows and every minibatch group among them.
+# (`_binned_ranks`, c * (grid step) = _BIN_STEP) when the grid costs less
+# than the pairs: bins * _PAIRS_PER_BIN < n^2, bins the power of two at or
+# above the grid's points, at most _BINNED_MAX_BINS.  Measured on a 2-CPU
+# box, forward pass and VJP at c = 50 (median of 15-21): the exact pass
+# takes 4.7-5.7 ns per pair at 768-3000 rows, serial or on threads (a free
+# second CPU made it up to 1.8x faster in earlier runs).  The binned pass
+# runs FFTs of length L, the power of two at or above points +
+# _KERNEL_REACH: at 2000 rows it takes 0.33 ms at L = 4096, 0.57 ms at 8192,
+# 1.3 ms at 16384, 3.4 ms at 32768, 8.5 ms at 65536 and 20 ms at 131072
+# (70-155 ns per point of L, rising with L; 42 ms at the cap, 2^17 points
+# and L = 2^18), plus about 90 ns per row.  A 2000-row synth1 group (5300-
+# 15500 points, L 8192-16384) takes 0.6-1.9 ms.  Its peak memory at 2^17
+# points is 8 MiB at 2000 rows and 11 MiB at 10^5, plus the 4 MiB of
+# kernel spectra the first call at that L keeps.  At _BIN_STEP = 0.1 the
+# rank error on recorded synth1 fits (2000 rows, ranges 11-31) was at most
+# 0.28, and the gf term's relative error on heavy-tailed test inputs at most
+# 4e-4; both grow as _BIN_STEP squared.  Per bin the binned pass costs about
+# 70-160 ns, so a break-even near 25 pairs per bin would bin more groups;
+# _PAIRS_PER_BIN stays at the 50 measured for the earlier length-2 bins
+# pass on purpose, so that the same groups are binned, and re-tuning it is
+# a change of its own.  Below
+# _BINNED_MIN_ROWS the exact pass costs at most about 5 ms, and every group
+# there stays exact, the threaded groups of 769-1023 rows and every
+# minibatch group among them.
 _BINNED_MIN_ROWS = 1024
 _BIN_STEP = 0.1
 _PAIRS_PER_BIN = 50
 _BINNED_MAX_BINS = 1 << 17
+
+# Grid offsets d past which both binned kernels lie below 2^-60:
+# |tanh(x) - sign(x)| <= 2 exp(-2|x|) and 1 - tanh^2(x) <= 4 exp(-2|x|),
+# with 2|x| = _BIN_STEP |d|, and 4 exp(-62 ln 2) = 2^-60.  430 at 0.1.
+_KERNEL_REACH = math.ceil(62.0 * math.log(2.0) / _BIN_STEP)
+_spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # `_kernel_spectra`, by FFT length
 
 _rank_pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, pool)
 _rank_pool_lock = threading.Lock()
@@ -379,74 +398,124 @@ def _pairwise_ranks(s: np.ndarray, c: float):
     return ranks, vjp
 
 
-def _binned_ranks(s: np.ndarray, c: float, bins: int):
-    """`_pairwise_ranks` approximated on a grid of `bins` points (a power
-    of two, at least 2) spanning [min s, max s], which must be a positive
-    finite range: O(n + bins log bins) time and O(bins) memory.
+def _kernel_spectra(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra, for circular convolutions of length `size`, of the two
+    kernels `_binned_ranks` correlates the grid weights with, at offsets d
+    below _KERNEL_REACH (zero beyond): the forward pass's tanh(x) - sign(x)
+    and the VJP's 1 - tanh^2(x), with x = _BIN_STEP d / 2.  Both are
+    written through e = exp(-2|x|), as -sign(x) 2e / (1 + e) and
+    4e / (1 + e)^2, so their tails do not cancel against 1.
+    Computed once per size and kept: at most one entry per power of two.
+    Two threads that miss at once compute the same bits, so the cache
+    needs no lock."""
+    spectra = _spectra.get(size)
+    if spectra is None:
+        e = np.exp(-_BIN_STEP * np.arange(1, _KERNEL_REACH))  # at |d| = 1 .. _KERNEL_REACH - 1
+        remainder, sech2 = np.zeros(size), np.zeros(size)
+        # slot j holds offset -j and slot size - j offset j, as a convolution
+        # reads them
+        remainder[1:_KERNEL_REACH] = 2.0 * e / (1.0 + e)
+        remainder[:-_KERNEL_REACH:-1] = -remainder[1:_KERNEL_REACH]
+        sech2[0] = 1.0
+        sech2[1:_KERNEL_REACH] = 4.0 * e / ((1.0 + e) * (1.0 + e))
+        sech2[:-_KERNEL_REACH:-1] = sech2[1:_KERNEL_REACH]
+        spectra = (np.fft.rfft(remainder), np.fft.rfft(sech2))
+        for a in spectra:
+            a.flags.writeable = False
+        _spectra[size] = spectra
+    return spectra
+
+
+def _binned_ranks(s: np.ndarray, c: float, points: int):
+    """`_pairwise_ranks` approximated on a grid of `points` points centred
+    on [min s, max s], with c times the grid step equal to _BIN_STEP; the
+    grid must cover the scores, so points >= c (max s - min s) / _BIN_STEP
+    + 1 (`_rank_bins` gives the smallest such).  O(n + L log L) time and
+    O(L) memory, L the smallest power of two of at least points +
+    _KERNEL_REACH.
 
     Each score is split linearly between its two neighbouring grid points
-    (linear binning), each sum over k becomes a correlation of the grid
-    weights with a kernel, computed by real FFTs of length 2 bins (no
-    wrap-around, since grid offsets are below bins), and the grid result
-    is interpolated back linearly at each score.  This is the binned kernel
-    density estimate (Silverman 1982, Applied Statistics AS 176).
+    (linear binning), each sum over k becomes a sum over the grid weights,
+    and the grid result is interpolated back linearly at each score.  This
+    is the binned kernel density estimate (Silverman 1982, Applied
+    Statistics AS 176).
 
-    The forward pass correlates the weights with tanh(c d / 2), the VJP the
-    g-weighted and the plain weights with D(d) = (c/4)(1 - tanh^2(c d / 2)):
+    The forward pass sums tanh(c d / 2) over the weights.  It splits the
+    kernel into sign(d), a prefix sum over the grid, and the remainder
+    tanh - sign, which falls below 2^-60 beyond _KERNEL_REACH offsets and
+    is correlated by real FFTs of length L (no wrap-around reaches a
+    nonzero kernel slot).  The VJP correlates the g-weighted and the plain
+    weights with D(d) = (c/4)(1 - tanh^2(c d / 2)), as short:
     out_j = sum_i g_i D(s_j - s_i) - g_j sum_k D(s_k - s_j), whose self
-    terms cancel.  Ties add no error of their own in the forward pass: tied
-    scores share their weights, and tanh is odd.
+    terms cancel.  The kernels do not depend on c or on the scores, so
+    their spectra are cached per L (`_kernel_spectra`): five FFTs a pass.
+    Ties add no error of their own in the forward pass: tied scores share
+    their weights, and both parts of the kernel are odd.  The centred grid
+    bins -s as the mirror image of s, so, as for the exact ranks, the
+    ranks of -s are n + 1 minus those of s (up to rounding).
     """
-    n, size = s.size, 2 * bins
-    lo = s.min()
-    step = (s.max() - lo) / (bins - 1)
-    pos = (s - lo) * (1.0 / step)
-    left = np.minimum(pos.astype(np.intp), bins - 2)
+    n = s.size
+    size = 1 << (points + _KERNEL_REACH - 1).bit_length()
+    remainder, sech2 = _kernel_spectra(size)
+    lo, scale = s.min(), c / _BIN_STEP
+    pos = (s - lo) * scale + 0.5 * ((points - 1) - (s.max() - lo) * scale)
+    left = np.minimum(pos.astype(np.intp), points - 2)
     right_w = pos - left
     left_w = 1.0 - right_w
 
-    def spread(weights_left, weights_right):  # onto the grid, in the FFT's domain
-        return np.fft.rfft(np.bincount(left, weights_left, bins)
-                           + np.bincount(left + 1, weights_right, bins), size)
+    def spread(weights_left, weights_right):  # onto the grid
+        return (np.bincount(left, weights_left, points)
+                + np.bincount(left + 1, weights_right, points))
 
-    def gather(spectrum):  # the correlation's grid values, interpolated at s
-        grid = np.fft.irfft(spectrum, size)
+    def gather(grid):  # grid values interpolated at s
         return grid[left] * left_w + grid[left + 1] * right_w
 
-    # offsets j - m of the circular correlation; slot `bins` is never read
-    t = np.tanh(np.r_[0:bins, 0, 1 - bins:0] * (-0.5 * c * step))
     weights = spread(left_w, right_w)
-    ranks = gather(weights * np.fft.rfft(t)) * 0.5 + (0.5 + 0.5 * n)
+    spectrum = np.fft.rfft(weights, size)
+    # the weights become the grid's sign sums, in place so that no spare
+    # grid is held across the FFTs: sum_p w_p sign(p - m) = sum_{p > m} w_p
+    # - sum_{p < m} w_p = total + w_m - 2 sum_{p <= m} w_p
+    below = np.cumsum(weights)
+    weights += below[-1]
+    below *= 2.0
+    weights -= below
+    del below
+    weights += np.fft.irfft(spectrum * remainder, size)[:points]
+    ranks = gather(weights) * 0.5 + (0.5 + 0.5 * n)
 
     def vjp(g):
-        d = np.fft.rfft(1.0 - t * t)
-        return (0.25 * c) * (gather(spread(g * left_w, g * right_w) * d)
-                             - g * gather(weights * d))
+        gw = np.fft.rfft(spread(g * left_w, g * right_w), size)
+        gw *= sech2
+        return (0.25 * c) * (gather(np.fft.irfft(gw, size))
+                             - g * gather(np.fft.irfft(spectrum * sech2, size)))
 
     return ranks, vjp
 
 
 def _rank_bins(s: np.ndarray, c: float) -> int:
-    """The grid size `_binned_ranks` would rank s with, or 0 where the
-    exact `_pairwise_ranks` is the one to run."""
+    """The number of grid points `_binned_ranks` would rank s on, or 0
+    where the exact `_pairwise_ranks` is the one to run."""
     n = s.size
     if n < _BINNED_MIN_ROWS:
         return 0
-    # grid points for c * step <= _BIN_STEP; a zero range (all ties) is
-    # ranked exactly, and a NaN or infinite one fails on the exact path as
-    # it does for any other group
-    need = c * float(s.max() - s.min()) / _BIN_STEP + 1.0
+    # grid steps across the range at c * step = _BIN_STEP; a zero range
+    # (all ties) is ranked exactly, and a NaN or infinite one fails on the
+    # exact path as it does for any other group
+    steps = c * float(s.max() - s.min()) / _BIN_STEP
+    need = steps + 1.0
     if not 1.0 < need <= _BINNED_MAX_BINS:
         return 0
-    bins = 1 << math.ceil(math.log2(need))
-    return bins if bins * _PAIRS_PER_BIN < n * n else 0
+    # priced at the power of two at or above the grid, as it was measured
+    if (1 << math.ceil(math.log2(need))) * _PAIRS_PER_BIN >= n * n:
+        return 0
+    return math.ceil(steps) + 1
 
 
 def _group_ranks(s: np.ndarray, c: float):
     """The fused pass's smoothed ranks of one group and their VJP: binned
     where `_rank_bins` picks a grid, exact otherwise."""
-    bins = _rank_bins(s, c)
-    return _binned_ranks(s, c, bins) if bins else _pairwise_ranks(s, c)
+    points = _rank_bins(s, c)
+    return _binned_ranks(s, c, points) if points else _pairwise_ranks(s, c)
 
 
 def _pairwise_rank_graph(su: Var, c: float) -> Var:

@@ -124,20 +124,26 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
     trace: dict[str, list[float]] = {k: [] for k in TRACE_KEYS}
     rng = np.random.default_rng(cfg.seed)
     batch_size = cfg.batch_size or ds.n
+    # a full batch is all rows in row order with no draw from rng: its
+    # spec, built once, holds the dataset's groups and base_set as they are
+    full_spec = None if cfg.batch_size is not None else TotalLossSpec(
+        variant=variant, weights=cfg.weights, pv=pv, base=base_set,
+        groups=None if pv is None else group_view(ds))
 
     for epoch in range(cfg.epochs):
-        # a full batch is all rows in row order with no draw from rng, taken
-        # as a view: gathering 2400 rows of X by index costs about 50 us
-        order = None if cfg.batch_size is None else rng.permutation(ds.n)
+        order = None if full_spec is not None else rng.permutation(ds.n)
         sums = {k: 0.0 for k in TRACE_KEYS}
         for start in range(0, ds.n, batch_size):
-            rows = slice(None) if order is None else order[start:start + batch_size]
-            X_b = X[rows]
-            pv_b = None if pv is None else pv[rows]
-            groups_b = None if pv_b is None else pv_groups(pv_b)
-            base_b = None if base_set is None else _slice_base(base_set, rows, groups_b)
-            spec = TotalLossSpec(variant=variant, weights=cfg.weights, pv=pv_b,
-                                 base=base_b, groups=groups_b)
+            if order is None:
+                X_b, spec = X, full_spec
+            else:
+                rows = order[start:start + batch_size]
+                X_b = X[rows]
+                pv_b = None if pv is None else pv[rows]
+                groups_b = None if pv_b is None else pv_groups(pv_b)
+                base_b = None if base_set is None else _slice_base(base_set, rows, groups_b)
+                spec = TotalLossSpec(variant=variant, weights=cfg.weights, pv=pv_b,
+                                     base=base_b, groups=groups_b)
             try:
                 _, grads, comps = eval_loss_grad_components(params, X_b, spec)
             except FloatingPointError as e:

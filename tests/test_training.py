@@ -456,6 +456,47 @@ def test_grid_children_rank_serially_after_a_threaded_fit(monkeypatch):
         assert s.fairness == p.fairness and s.group_fidelity == p.group_fidelity
 
 
+def test_full_batch_fit_is_the_same_bits_with_a_cold_and_a_warm_spectrum_cache(monkeypatch):
+    from fairod import losses
+
+    monkeypatch.setattr(losses, "_spectra", {})
+    ds = standardize(make_synth1(2 * losses._BINNED_MIN_ROWS, 400, 60, seed=2))
+    base = fit_base(ds, TrainConfig(variant="base_only", lr=0.05, epochs=5, seed=2))
+    cfg = TrainConfig(lr=0.05, epochs=5, seed=2)
+    cold = fit_fairod(ds, base, cfg)
+    assert losses._spectra  # the large group was ranked on a grid
+    assert fit_fairod(ds, base, cfg).to_json() == cold.to_json()
+
+
+def _cached_fft_lengths():
+    from fairod import losses
+    return sorted(losses._spectra)
+
+
+def test_grid_cells_match_serial_after_a_warm_cache_fit(monkeypatch):
+    from fairod import losses
+
+    monkeypatch.setattr(losses, "_spectra", {})
+    ds = tiny_ds(n=3 * losses._BINNED_MIN_ROWS // 2 + 60, seed=8)  # a group of 1064 rows, binned
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=3, seed=2))
+    cfg = TrainConfig(epochs=3, seed=2)
+    fit_fairod(ds, base, cfg)
+    warm = _cached_fft_lengths()
+    assert warm
+    # forked cells start with the parent's cache
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(1, mp_context=fork) as pool:
+        assert pool.submit(_cached_fft_lengths).result(timeout=120) == warm
+    grid = {"alpha": [0.1, 0.9], "gamma": [0.5]}
+    parallel = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=2)
+    serial = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=1)
+    for s, p in zip(serial, parallel):
+        assert s.error is None and p.error is None
+        assert s.fit.to_json() == p.fit.to_json()
+        assert s.fit.scores.tobytes() == p.fit.scores.tobytes()
+        assert s.fairness == p.fairness and s.group_fidelity == p.group_fidelity
+
+
 def test_grid_search_pool_has_no_more_workers_than_cells(monkeypatch):
     from fairod import training
 
