@@ -4,12 +4,26 @@ synthetic generators.
 CSV schema: feature columns (header order preserved), a categorical `pv`
 column, and an optional binary `label` column.  Floats are rendered with 17
 significant digits so save/load round-trips are bit-exact.
+
+Loading: csv.reader with the csv module's default dialect defines how a file
+splits, and float() how a feature cell reads; one leading byte-order mark
+(U+FEFF) is dropped.  A quote-free file, such as the synthetic sets
+`save_csv` writes, is parsed by one typed np.loadtxt pass straight from the
+file's bytes (float64 features, string pv and label cells); with
+one-character pv tokens its peak is about twice the file's size.  A file
+that pass could read otherwise (quotes, a lone CR, a blank line, an
+over-long line, a byte 0x1C-0x1F), and any file on which it raises
+ValueError (a ragged row, a bad cell, a float spelling only float() reads
+such as `1_000`), goes through csv.reader instead, which names the first
+faulty line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -125,60 +139,94 @@ def _map_pv_tokens(tokens: Iterable[str]) -> dict[str, int]:
     return {t: i for i, t in enumerate(dict.fromkeys([majority, *counts]))}
 
 
-def _read_text(path) -> str:
-    """The file's text, line ends untranslated.  Bytes that are not UTF-8
-    are a ParseError naming the line and the file offset of the first."""
+def _read_utf8(path) -> bytes:
+    """The file's bytes.  Bytes that are not UTF-8 are a ParseError naming
+    the line and the file offset of the first."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if data.isascii():  # ASCII is UTF-8; anything else is decoded once to check
+        return data
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as e:
         head = data[:e.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"{path}: line {line}: not valid UTF-8: byte 0x{data[e.start]:02x} "
                          f"at file offset {e.start}: {e.reason}") from None
+    return data
 
 
-def _records(text: str, path) -> list[list[str]]:
-    """Every record of `text` as csv.reader splits it; a csv error, such as a
-    field over csv.field_size_limit(), is a ParseError naming its line."""
+def _text(data: bytes) -> io.TextIOWrapper:
+    """A text stream over UTF-8 `data`, line ends untranslated, without one
+    leading byte-order mark (U+FEFF), as Excel and `utf-8-sig` write it."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+
+def _records(data: bytes, path, stop: int | None = None) -> list[list[str]]:
+    """The first `stop` records (default all) as csv.reader splits them; a
+    csv error, such as a field over csv.field_size_limit(), is a ParseError
+    naming its line."""
     records: list[list[str]] = []
-    try:
-        for record in csv.reader(io.StringIO(text, newline="")):
-            records.append(record)
-    except csv.Error as e:
-        raise ParseError(f"{path}: line {len(records) + 1}: {e}") from None
+    with _text(data) as stream:
+        try:
+            for record in itertools.islice(csv.reader(stream), stop):
+                records.append(record)
+        except csv.Error as e:
+            raise ParseError(f"{path}: line {len(records) + 1}: {e}") from None
     return records
 
 
-def _loadtxt_body(text: str) -> np.ndarray | None:
-    """The rows after the header as a (rows, width) object array of cell
-    strings, tokenized by np.loadtxt; None when loadtxt might split the text
-    otherwise than csv.reader.  The two agree when no cell is quoted, every
-    line ends in LF, CRLF or the end of the text, data lines follow the
-    header and none is blank, and no line could hold a field over
-    csv.field_size_limit().  loadtxt raises on rows of unequal width, which
-    also gives None."""
-    if '"' in text:
-        return None
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    if ends.size == 0 or ends[-1] != data.size - 1:
-        ends = np.append(ends, data.size)
-    cr = np.flatnonzero(data == ord("\r"))
-    if cr.size and (cr[-1] == data.size - 1 or np.any(data[cr + 1] != ord("\n"))):
-        return None
-    lengths = np.diff(ends, prepend=-1) - 1  # UTF-8 bytes, so at least the characters
+# bytes compared at once while finding line ends, so the scan's temporaries
+# stay small next to the file
+_SCAN_BYTES = 1 << 20
+
+
+def _data_lines(data: bytes) -> int:
+    """The number of lines after the header when np.loadtxt and csv.reader
+    split `data` alike, else 0.  They do when no cell is quoted, every line
+    ends in LF, CRLF or the end of the file, data lines follow the header
+    and none is blank, and no line could hold a field over
+    csv.field_size_limit()."""
+    if b'"' in data or re.search(rb"\r(?!\n)", data):
+        return 0
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = [lo + np.flatnonzero(raw[lo:lo + _SCAN_BYTES] == ord("\n"))
+            for lo in range(0, raw.size, _SCAN_BYTES)]
+    if not data.endswith(b"\n"):
+        ends.append([raw.size])
+    # in UTF-8 bytes, so at least the characters
+    lengths = np.diff(np.concatenate(ends), prepend=-1) - 1
     # a data line of one byte or none is blank or narrower than any valid
     # header; csv.reader names the error
-    if ends.size < 2 or lengths[1:].min() < 2 or lengths.max() > csv.field_size_limit():
+    if lengths.size < 2 or lengths[1:].min() < 2 or lengths.max() > csv.field_size_limit():
+        return 0
+    return lengths.size - 1
+
+
+def _loadtxt_body(data: bytes, header: list[str]) -> np.ndarray | None:
+    """The rows after the header, parsed by one typed np.loadtxt pass into a
+    structured array with one field per header column, named by its
+    position: float64 for a feature, the cell string for `pv` and `label`.
+
+    None when loadtxt might read the file otherwise than csv.reader and
+    float().  They split it alike where `_data_lines` says so, and parse
+    floats alike but for bytes 0x1C-0x1F, which NumPy strips as whitespace
+    and float() rejects, so a file holding one is not read here.  Any
+    ValueError from loadtxt, such as a row of another width or a cell
+    float() might still read (`1_000`), also gives None."""
+    rows = _data_lines(data)
+    if not rows or any(byte in data for byte in b"\x1c\x1d\x1e\x1f"):
         return None
+    dtype = np.dtype([(str(j), object if name in ("pv", "label") else np.float64)
+                      for j, name in enumerate(header)])
     try:
-        cells = np.loadtxt(io.StringIO(text), delimiter=",", dtype=object, comments=None,
-                           skiprows=1, ndmin=2)
+        with _text(data) as stream:
+            body = np.loadtxt(stream, delimiter=",", dtype=dtype, comments=None, skiprows=1,
+                              ndmin=1)
     except ValueError:
         return None
-    return cells if cells.shape[0] == ends.size - 1 else None
+    # loadtxt skips empty lines, which csv.reader reads as records
+    return body if body.size == rows else None
 
 
 def _first(tokens, ok) -> int:
@@ -198,17 +246,21 @@ def load_csv(path) -> LabeledDataset:
     """Read a dataset CSV: a required `pv` column, an optional 0/1 `label`
     column, and every other column a feature.  pv tokens are mapped to ids
     with the most frequent token forced to 0 (majority); the mapping is
-    recorded in `pv_tokens`.
+    recorded in `pv_tokens`.  One leading byte-order mark is dropped.
 
-    The dialect is the csv module's default.  A quote-free file is tokenized
-    by np.loadtxt; any other file, and any file loadtxt could split
-    differently, by csv.reader.  Each column is then converted at once, and
-    an error names the first faulty line as a row-by-row reader would: its
-    width, then its feature cells in header order, then its label.
+    The dialect is the csv module's default.  A quote-free file is parsed by
+    one typed np.loadtxt pass (`_loadtxt_body`); any other file, and any file
+    that pass rejects or could read differently, by csv.reader, whose cells
+    are then converted a column at once.  An error names the first faulty
+    line as a row-by-row reader would: its width, then its feature cells in
+    header order, then its label.
     """
-    text = _read_text(path)
-    cells = _loadtxt_body(text)
-    records = _records(text if cells is None else text[:text.find("\n")], path)
+    data = _read_utf8(path)
+    records = _records(data, path, stop=1)
+    body = _loadtxt_body(data, records[0]) if records else None
+    if body is None:
+        records = _records(data, path)
+    del data  # the rest needs only the cells; a large file's bytes outweigh them
     if not records:
         raise SchemaError(f"{path}: empty file, header required")
     header = records[0]
@@ -222,31 +274,30 @@ def load_csv(path) -> LabeledDataset:
     if not feat_ix:
         raise SchemaError(f"{path}: no feature column besides 'pv' and 'label'")
 
-    # cells: the rows before the first ragged one, whose width is `ragged`
+    # columns: those of the rows before the first ragged one, whose width is `ragged`
     width = len(header)
     ragged = None
-    if cells is None:
-        body = records[1:]
-        n = next((i for i, row in enumerate(body) if len(row) != width), len(body))
-        if n < len(body):
-            ragged = len(body[n])
-        cells = np.array(body[:n], dtype=object).reshape(n, width)
-    elif cells.shape[1] != width:
-        ragged = cells.shape[1]
-        cells = np.empty((0, width), dtype=object)
-    n = cells.shape[0]
+    if body is None:
+        rows = records[1:]
+        n = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        if n < len(rows):
+            ragged = len(rows[n])
+        columns = list(np.array(rows[:n], dtype=object).reshape(n, width).T)
+    else:
+        n = body.size
+        columns = [body[name] for name in body.dtype.names]
 
     faults = []  # (row, position in the row's check order, message)
     features = np.empty((n, len(feat_ix)))
     for k, j in enumerate(feat_ix):
         try:
-            features[:, k] = cells[:, j].astype(np.float64)
+            features[:, k] = columns[j]
         except ValueError:
-            i = _first(cells[:, j], _is_float)
-            faults.append((i, k, f"column '{header[j]}': non-numeric value {cells[i, j]!r}"))
+            i = _first(columns[j], _is_float)
+            faults.append((i, k, f"column '{header[j]}': non-numeric value {columns[j][i]!r}"))
     labels = None
     if lab_ix is not None:
-        column = cells[:, lab_ix]
+        column = columns[lab_ix]
         distinct = dict.fromkeys(column)
         ids = {t: int(t.strip()) for t in distinct if t.strip() in ("0", "1")}
         if len(ids) < len(distinct):
@@ -263,10 +314,10 @@ def load_csv(path) -> LabeledDataset:
     if n == 0:
         raise ValidationError(f"{path}: no data rows")
 
-    mapping = _map_pv_tokens(cells[:, pv_ix])
+    mapping = _map_pv_tokens(columns[pv_ix])
     ds = LabeledDataset(
         features=features,
-        pv=np.fromiter(map(mapping.__getitem__, cells[:, pv_ix]), dtype=np.int64, count=n),
+        pv=np.fromiter(map(mapping.__getitem__, columns[pv_ix]), dtype=np.int64, count=n),
         labels=labels,
         pv_tokens=mapping,
     )

@@ -64,10 +64,12 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
                           "--seed", "1"]),
         ("error-width", ["train", "--data", str(out / "wide.csv"), "--variant", "fairod",
                          "--base", base, "--seed", "1", "--epochs", "2"]),
-        # synth1's CSV has no quotes, so NumPy tokenizes it; these two go
-        # through csv.reader: a quoted pv token, and a ragged row
+        # synth1's CSV has no quotes, so NumPy parses it; these three go
+        # through csv.reader: a quoted pv token, a ragged row, and a
+        # quote-free file whose `1_80.5` only float() reads
         ("eval-quoted", ["eval", "--data", str(out / "quoted.csv"), "--model", base]),
         ("error-ragged", ["eval", "--data", str(out / "ragged.csv"), "--model", base]),
+        ("eval-underscore", ["eval", "--data", str(out / "underscore.csv"), "--model", base]),
         # a 1200-row majority group, which full-batch training ranks on a
         # grid (losses._rank_bins), in the grid's forked cells too
         ("synth1-1200", ["synth", "synth1", "--major", "1200", "--minor", "80", "--outliers",
@@ -105,6 +107,9 @@ def run(src: Path, out: Path) -> int:
     (out / "quoted.csv").write_text('f_0,f_1,pv,label\n180.5,1.25,"x, y",0\n150,0.5,z,0\n'
                                     '171,9.5,"x, y",1\n155.75,0.125,z,0\n160,12,"x, y",0\n'
                                     '149,2.5,z,1\n')
+    (out / "underscore.csv").write_text("f_0,f_1,pv,label\n1_80.5,1.25,x,0\n150,0.5,z,0\n"
+                                        "171,9.5,x,1\n155.75,0.125,z,0\n160,12,x,0\n"
+                                        "149,2.5,z,1\n")
     (out / "ragged.csv").write_text("f_0,f_1,pv\n180,1,a\n150,2,b\n170\n155,3,b\n")
     (out / "outlier.csv").write_text(outlier_csv())
     env = os.environ | {"PYTHONPATH": str(src.resolve())}

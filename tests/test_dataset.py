@@ -3,6 +3,7 @@ against the row-by-row oracle, standardization, and the synthetic
 generators."""
 
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -122,7 +123,8 @@ def oracle_map_pv_tokens(tokens: list[str]) -> dict[str, int]:
 
 def oracle_load_csv(path) -> LabeledDataset:
     """The row-by-row loader: csv.reader, then one float() per cell, row by
-    row, so the first faulty line raises."""
+    row, so the first faulty line raises.  One leading byte-order mark is
+    dropped."""
     data, offset = path.read_bytes(), 0
     for line, raw in enumerate(data.splitlines(keepends=True), start=1):
         try:
@@ -132,7 +134,7 @@ def oracle_load_csv(path) -> LabeledDataset:
             raise ParseError(f"{path}: line {line}: not valid UTF-8: byte 0x{data[at]:02x} "
                              f"at file offset {at}: {e.reason}") from None
         offset += len(raw)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise SchemaError(f"{path}: empty file, header required")
@@ -203,9 +205,14 @@ def assert_loads_like_oracle(path):
 HEADERS = [["f_0", "pv"], ["f_0", "f_1", "pv", "label"], ["label", "f_0", "pv", "f_1"],
            ["pv", "x"]]
 BAD_HEADERS = [["f_0", "f_0", "pv"], ["f_0", "label"]]
-FEATURES = ["1", "-2.5", "0", "3.25e-3", "%.17g" % 0.1, "1e500", "-inf", "nan", "-0.0",
-            " 2 ", "\t7", "1_0", "٣", " 1 "]
-BAD_FEATURES = ["", "abc", "1,5", "0x1", "1 2"]
+FEATURES = ["1", "-2.5", "+3", "0", "-0.0", "3.25e-3", "1E5", "+.5e-3", "5.", "%.17g" % 0.1,
+            "1e500", "-1e500", "1e-400", "4.9e-324", "2.2250738585072009e-308", "inf", "-inf",
+            "+Infinity", "-INF", "nan", "-nan", "NaN", "+nAn", "1_0", "1_000.5", "1e1_0", "٣"]
+BAD_FEATURES = ["", "abc", "1,5", "0x1", "1 2", "1__0", "_1", "infinit", "1e"]
+# float() and NumPy's float parser both strip PADS around a number; only
+# NumPy's strips SEPARATORS (0x1C-0x1F), which float() rejects
+PADS = ["", "", "", " ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u3000"]
+SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f"]
 LABELS = ["0", "1", " 1", "0 ", "\t1"]
 BAD_LABELS = ["2", "x", "", "1,0"]
 PVS = ["a", "b"]
@@ -216,21 +223,25 @@ ODD_PVS = [" a", "a ", "c", "a,b", 'q"x', "two\nlines", "cr\rlf", "", "é"]
 def csv_texts(draw):
     """CSV texts around the loader's edges: every line ending, blank and
     whitespace-only lines, ragged rows, quoted cells holding commas, line
-    breaks and doubled quotes, odd float spellings, padded labels and pv
-    tokens, a header-only body, and a missing final line break.  Each kind
-    of fault is switched on for a third of the texts, so clean texts, which
-    NumPy tokenizes, are common too."""
+    breaks and doubled quotes, float spellings with signs, exponents, inf and
+    nan forms, underscores, overflow and subnormals, padded with Unicode
+    whitespace, padded labels and pv tokens, a header-only body, a missing
+    final line break and a leading byte-order mark.  Each kind of fault is
+    switched on for a third of the texts, so clean texts, which NumPy
+    parses, are common too."""
     def maybe(pool, extra):
         return pool + extra if draw(st.integers(0, 2)) == 0 else pool
 
     header = draw(st.sampled_from(maybe(HEADERS, BAD_HEADERS)))
     pools = {"pv": maybe(PVS, ODD_PVS), "label": maybe(LABELS, BAD_LABELS)}
-    features = maybe(FEATURES, BAD_FEATURES)
+    floats, pads = maybe(FEATURES, BAD_FEATURES), maybe(PADS, SEPARATORS)
+    features = st.builds("".join, st.tuples(*map(st.sampled_from, (pads, floats, pads))))
     shapes = maybe(["ok"] * 4, ["short", "long", "blank", "space"])
     quote_some = draw(st.integers(0, 2)) == 0
     lines = [header]
     for _ in range(draw(st.integers(0, 12))):
-        row = [draw(st.sampled_from(pools.get(name, features))) for name in header]
+        row = [draw(st.sampled_from(pools[name]) if name in pools else features)
+               for name in header]
         shape = draw(st.sampled_from(shapes))
         if shape == "short":
             row = row[:-1]
@@ -250,7 +261,8 @@ def csv_texts(draw):
     endings = maybe([draw(st.sampled_from(["\n", "\r\n", "\r"]))], ["\n", "\r\n", "\r"])
     out = "".join(",".join(cell(c) for c in row) + draw(st.sampled_from(endings))
                   for row in lines)
-    return out if draw(st.booleans()) else out.rstrip("\r\n")
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + (out if draw(st.booleans()) else out.rstrip("\r\n"))
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +282,7 @@ def test_load_csv_matches_row_by_row_oracle(csv_path, text):
     "x,pv\n1,a\n3\nq,b\n",  # a ragged row on an earlier line than a bad cell
     "x,pv,label\n1,a,0\nz,b,7\n",  # one line, two faults: the feature comes first
     "x,y,pv,label\n1,2,a,0\n3,4,b,9\n5,q,b,0\n",  # the label's line is earlier
+    "x,pv\n1\x1c,a\n2,a\n3,b\n4,b\n",  # NumPy reads 1\x1c as 1.0, float() rejects it
     "x,pv\n1,a\n2,a\n\n3,b\n4,b\n",  # a blank line
     "x,pv\r1,a\r2,a\r3,b\r4,b\r",  # lone carriage returns
     "x,pv\n1,a\r2,a\n3,b\n4,b\n",  # one lone carriage return
@@ -278,9 +291,9 @@ def test_load_csv_matches_row_by_row_oracle(csv_path, text):
     "x,pv\r\n\r\n",
     "x,pv",
     "",
-], ids=["bad-cell-before-ragged", "ragged-before-bad-cell", "feature-before-label", "label-line-first",
-        "blank-line", "cr", "one-cr", "header-only", "header-blank", "header-blank-crlf",
-        "header-no-newline", "empty"])
+], ids=["bad-cell-before-ragged", "ragged-before-bad-cell", "feature-before-label",
+        "label-line-first", "file-separator", "blank-line", "cr", "one-cr", "header-only",
+        "header-blank", "header-blank-crlf", "header-no-newline", "empty"])
 def test_load_csv_pinned_cases_match_oracle(tmp_path, text):
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -335,15 +348,58 @@ def test_invalid_utf8_message_names_the_line_and_file_offset(tmp_path, end):
 def test_loadtxt_body_only_for_files_it_splits_like_csv(tmp_path):
     ds = make_synth1(40, 10, 4, seed=1)
     save_csv(ds, tmp_path / "s.csv")
-    text = (tmp_path / "s.csv").read_text(encoding="utf-8")  # csv.writer ends lines in \r\n
-    cells = _loadtxt_body(text)
-    assert cells.shape == (50, 4) and cells[0, 2] == "a"
-    assert _loadtxt_body(text.replace("\r\n", "\n")).shape == (50, 4)
-    assert _loadtxt_body(text.rstrip()).shape == (50, 4)
+    data = (tmp_path / "s.csv").read_bytes()  # csv.writer ends lines in \r\n
+    header = ["f_0", "f_1", "pv", "label"]
+    body = _loadtxt_body(data, header)
+    assert body.dtype == np.dtype([("0", "f8"), ("1", "f8"), ("2", "O"), ("3", "O")])
+    assert body.shape == (50,) and body["2"][0] == "a" and body["3"][-1] == "1"
+    assert np.column_stack([body["0"], body["1"]]).tobytes() == ds.features.tobytes()
+    assert _loadtxt_body(data.replace(b"\r\n", b"\n"), header).shape == (50,)
+    assert _loadtxt_body(data.rstrip(), header).shape == (50,)
+    assert _loadtxt_body(b"\xef\xbb\xbf" + data, header).shape == (50,)
     long_line = "f_0,pv\n" + "1" * csv.field_size_limit() + "1,a\n"
     for other in ['f_0,pv\n1,"a"\n', "f_0,pv\n1,a\n\n2,b\n", "f_0,pv\n1,a\r\n\r\n",
-                  "f_0,pv\r1,a\r", "f_0,pv\n1,a\r2,b\n", "f_0,pv\n", "f_0,pv\n1\n", long_line]:
-        assert _loadtxt_body(other) is None, other
+                  "f_0,pv\r1,a\r", "f_0,pv\n1,a\r2,b\n", "f_0,pv\n", "f_0,pv\n1\n", long_line,
+                  "f_0,pv\n1,a\n  \n2,b\n", "f_0,pv\n1\x1c,a\n", "f_0,pv\n1,a\x1f\n",
+                  "f_0,pv\n1_0,a\n", "f_0,pv\nx,a\n", "f_0,pv\n1,a,2\n"]:
+        assert _loadtxt_body(other.encode(), ["f_0", "pv"]) is None, other
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "csv-reader"])
+@pytest.mark.parametrize("header", ["label,x,pv", "pv,x,label"])
+def test_load_csv_drops_a_leading_byte_order_mark(tmp_path, header, quote):
+    cells = {"label": "0100", "x": ["1.5", "2", "3", "4"],
+             "pv": [quote + g + quote for g in "aabb"]}
+    lines = [header] + [",".join(cells[k][i] for k in header.split(",")) for i in range(4)]
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode() + b"\n")
+    assert_loads_like_oracle(path)
+    ds = load_csv(path)
+    assert ds.labels.tolist() == [0, 1, 0, 0]
+    assert ds.features.tolist() == [[1.5], [2.0], [3.0], [4.0]]
+    assert ds.pv_tokens == {"a": 0, "b": 1}
+
+
+def test_invalid_utf8_offset_after_a_byte_order_mark_is_the_file_offset(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbff_0,pv\n1,a\n\xff,a\n")  # the 0xff is byte 3 + 7 + 4
+    assert assert_loads_like_oracle(path) == (
+        ParseError, f"{path}: line 3: not valid UTF-8: byte 0xff at file offset 14: "
+                    "invalid start byte")
+
+
+def test_load_csv_peak_memory_is_bounded(tmp_path):
+    path = tmp_path / "s.csv"
+    save_csv(make_synth2(40_000, 10_000, 2_500, seed=1), path)  # quote-free
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 def test_standardize_hand_example():
