@@ -43,6 +43,9 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
                     "--seed", "7"]),
         ("synth2", ["synth", "synth2", "--major", "200", "--minor", "50", "--outliers", "12",
                     "--seed", "8", "--x1-std", "1.2"]),
+        # 3200 rows: three full blocks of dataset._SAVE_ROWS and a part
+        ("synth2-3200", ["synth", "synth2", "--major", "2500", "--minor", "700",
+                         "--outliers", "90", "--seed", "9"]),
         ("base", ["train", *fit, "--variant", "base", "--base-seeds", "2"]),
     ]
     for variant in ("fairod", "fairod_l", "fairod_c"):

@@ -1,6 +1,6 @@
-"""Dataset tests: CSV round-trip, token mapping, the columnar loader
-against the row-by-row oracle, standardization, and the synthetic
-generators."""
+"""Dataset tests: CSV round-trip, token mapping, the columnar loader and
+the block writer against their row-by-row oracles, standardization, and the
+synthetic generators."""
 
 import csv
 import tracemalloc
@@ -16,6 +16,7 @@ from fairod.dataset import (
     ParseError,
     SchemaError,
     ValidationError,
+    _SAVE_ROWS,
     _loadtxt_body,
     _map_pv_tokens,
     group_view,
@@ -400,6 +401,107 @@ def test_load_csv_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * path.stat().st_size
+
+
+# -- the block writer against the row-by-row oracle ------------------------------
+
+
+def oracle_save_csv(ds: LabeledDataset, path) -> None:
+    """Write `f_0..f_{d-1}, pv [, label]` with lossless float rendering."""
+    inverse = {gid: tok for tok, gid in (ds.pv_tokens or {}).items()}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        header = [f"f_{j}" for j in range(ds.d)] + ["pv"]
+        if ds.labels is not None:
+            header.append("label")
+        w.writerow(header)
+        for i in range(ds.n):
+            row = ["%.17g" % v for v in ds.features[i]]
+            row.append(inverse.get(int(ds.pv[i]), str(int(ds.pv[i]))))
+            if ds.labels is not None:
+                row.append(str(int(ds.labels[i])))
+            w.writerow(row)
+
+
+def assert_saves_like_oracle(ds: LabeledDataset, directory):
+    save_csv(ds, directory / "got.csv")
+    oracle_save_csv(ds, directory / "want.csv")
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"), 0.1,
+               1 / 3, -2.7182818284590451]
+SAVE_TOKENS = ["", ",", '"', "\r", "\n", " x", "é", "1"]
+
+
+@st.composite
+def datasets_to_save(draw):
+    """Datasets of 0 to 3 blocks + 1 rows, block multiples and their
+    neighbours included, with 1-5 features drawn from a pool of floats
+    (signed zeros, subnormals, infinities, nan, the largest finite values,
+    17-digit values), pv ids 0-3 written as numbers or as tokens that
+    csv.writer quotes or leaves bare, and optional 0/1 labels."""
+    rows = [0, 1, _SAVE_ROWS - 1, _SAVE_ROWS, _SAVE_ROWS + 1, 2 * _SAVE_ROWS,
+            3 * _SAVE_ROWS, 3 * _SAVE_ROWS + 1]
+    n = draw(st.sampled_from(rows) | st.integers(0, 3 * _SAVE_ROWS + 1))
+    d = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=1, max_size=12))
+    tokens = draw(st.none() | st.lists(st.sampled_from(SAVE_TOKENS), unique=True, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return LabeledDataset(
+        features=rng.choice(np.array(pool), size=(n, d)),
+        pv=rng.integers(0, 4, n),
+        labels=rng.integers(0, 2, n) if draw(st.booleans()) else None,
+        pv_tokens=None if tokens is None else {t: i for i, t in enumerate(tokens)},
+    )
+
+
+@pytest.fixture(scope="module")
+def save_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@settings(max_examples=100)
+@given(datasets_to_save())
+def test_save_csv_matches_row_by_row_oracle(save_dir, ds):
+    assert_saves_like_oracle(ds, save_dir)
+
+
+@pytest.mark.parametrize("n", [_SAVE_ROWS, _SAVE_ROWS + 1])
+@pytest.mark.parametrize("labels", [False, True])
+def test_save_csv_block_boundaries_and_empty_token_match_oracle(tmp_path, n, labels):
+    rng = np.random.default_rng(n)
+    ds = LabeledDataset(features=rng.normal(size=(n, 2)), pv=rng.integers(0, 3, n),
+                        labels=rng.integers(0, 2, n) if labels else None,
+                        pv_tokens={"": 0, "b": 1})  # id 2 is written as `2`
+    assert_saves_like_oracle(ds, tmp_path)
+    assert b'""' not in (tmp_path / "got.csv").read_bytes()  # empty among other fields
+
+
+def test_save_csv_empty_token_alone_in_its_row_is_quoted(tmp_path):
+    """With no feature and no label column, pv is the row's only field, and
+    csv.writer writes an empty token as `""`."""
+    ds = LabeledDataset(features=np.empty((3, 0)), pv=[0, 1, 0], pv_tokens={"": 0, "b": 1})
+    assert_saves_like_oracle(ds, tmp_path)
+    assert (tmp_path / "got.csv").read_bytes() == b'pv\r\n""\r\nb\r\n""\r\n'
+
+
+def test_save_csv_peak_memory_is_bounded(tmp_path):
+    """The writer holds one block of rows at a time, whatever the row count."""
+    peaks = []
+    for n_major, n_minor in ((16_000, 4_000), (64_000, 16_000)):
+        ds = make_synth2(n_major, n_minor, 1_000, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_csv(ds, tmp_path / f"{ds.n}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert max(peaks) < 2 * 2**20
 
 
 def test_standardize_hand_example():
