@@ -4,9 +4,26 @@ file records that as `"activation": "tanh"` and no other value loads.
 
 One numpy forward pass serves scoring and training; `score_and_pullback`
 adds its hand-written backward pass over the six parameter arrays.  The
-tape version, `score_graph`, runs the same operations in the same order,
-so its values are the same bits; it carries the value-only losses and the
-gradient oracle.
+tape version, `score_graph`, computes the same values bit for bit; it
+carries the value-only losses and the gradient oracle.
+
+The arrays are (N, w) in C order, and w is 2 on the synthetic sets, so a
+numpy op broadcast or reduced along w runs a 2-long inner loop per row.
+The fused pass therefore runs the ops on rows shorter than 8 cells down
+the N rows of each column, and keeps numpy's summation orders exactly:
+- a bias add and the upstream gradient's per-row scale run through the
+  transposed view in C order; an elementwise op gives the same bits in
+  any iteration order;
+- numpy sums a row (`sum(axis=1)`) from +0.0, cell after cell below 8
+  cells and pairwise with eight accumulators from 8 cells on, so a score
+  adds the squared residual's columns in order, and rows of 8 cells or
+  more keep `sum(axis=1)`;
+- numpy sums a column (`sum(axis=0)`) from +0.0, row after row, so a bias
+  gradient is the last row of `np.add.accumulate` down the columns, taken
+  in place, plus +0.0.  A width-1 array keeps `sum(axis=0)`, which numpy
+  sums pairwise.
+The six matmuls are the tape's calls on the same operands.  Rows of 8
+cells or more keep the row-major ops, which are the faster ones there.
 
 The scoring path is params-only by construction: `score` accepts no group
 information, so treatment parity is structural.
@@ -97,12 +114,51 @@ def init_params(cfg: AEConfig) -> AutoencoderParams:
     )
 
 
+# Ops on rows shorter than this run down the columns (see the module
+# docstring).  From 8 cells on, numpy sums a row with eight accumulators,
+# and the row-major loop is the faster one.
+_SHORT_ROW = 8
+
+
+def _row_sq_sums(R: np.ndarray) -> np.ndarray:
+    """`(R * R).sum(axis=1)` bit for bit."""
+    sq = R * R
+    if not 1 < sq.shape[1] < _SHORT_ROW:
+        return sq.sum(axis=1)
+    s = sq[:, 0] + sq[:, 1]
+    for j in range(2, sq.shape[1]):
+        s += sq[:, j]
+    return s
+
+
+def _col_sums(A: np.ndarray) -> np.ndarray:
+    """`A.sum(axis=0)` bit for bit, overwriting A when its rows are short."""
+    if not 1 < A.shape[1] < _SHORT_ROW or len(A) == 0:
+        return A.sum(axis=0)
+    np.add.accumulate(A, axis=0, out=A)
+    # numpy's sum starts from +0.0, so a column of -0.0 sums to +0.0
+    return A[-1] + 0.0
+
+
+def _layer(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W + b, as a fresh array."""
+    Z = X @ W
+    if Z.shape[1] < _SHORT_ROW:
+        ZT = Z.T
+        np.add(ZT, b[:, None], out=ZT, order="C")
+    else:
+        Z += b
+    return Z
+
+
 def _forward(params: dict[str, np.ndarray], X: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both hidden activations and the reconstruction of a batch (N,d)."""
-    h1 = np.tanh(X @ params["W_enc1"] + params["b_enc1"])
-    h2 = np.tanh(h1 @ params["W_dec1"] + params["b_dec1"])
-    return h1, h2, h2 @ params["W_out"] + params["b_out"]
+    h1 = _layer(X, params["W_enc1"], params["b_enc1"])
+    np.tanh(h1, out=h1)
+    h2 = _layer(h1, params["W_dec1"], params["b_dec1"])
+    np.tanh(h2, out=h2)
+    return h1, h2, _layer(h2, params["W_out"], params["b_out"])
 
 
 def score_and_pullback(params: dict[str, np.ndarray], X: np.ndarray):
@@ -110,16 +166,22 @@ def score_and_pullback(params: dict[str, np.ndarray], X: np.ndarray):
     pullback that maps an upstream gradient on those scores to the
     gradient of each parameter array."""
     h1, h2, out = _forward(params, X)
-    resid = X - out
-    scores = (resid * resid).sum(axis=1)
+    resid = np.subtract(X, out, out=out)
+    scores = _row_sq_sums(resid)
 
     def pullback(g: np.ndarray) -> dict[str, np.ndarray]:
-        g_out = resid * (-2.0 * g)[:, None]
+        if resid.shape[1] < _SHORT_ROW:
+            g_out = np.empty_like(resid)
+            np.multiply(resid.T, -2.0 * g, out=g_out.T, order="C")
+        else:
+            g_out = resid * (-2.0 * g)[:, None]
         g_h2 = (g_out @ params["W_out"].T) * (1.0 - h2 * h2)
         g_h1 = (g_h2 @ params["W_dec1"].T) * (1.0 - h1 * h1)
-        return {"W_enc1": X.T @ g_h1, "b_enc1": g_h1.sum(axis=0),
-                "W_dec1": h1.T @ g_h2, "b_dec1": g_h2.sum(axis=0),
-                "W_out": h2.T @ g_out, "b_out": g_out.sum(axis=0)}
+        # each bias sum may overwrite its array, so it follows every matmul
+        # that reads that array
+        return {"W_enc1": X.T @ g_h1, "b_enc1": _col_sums(g_h1),
+                "W_dec1": h1.T @ g_h2, "b_dec1": _col_sums(g_h2),
+                "W_out": h2.T @ g_out, "b_out": _col_sums(g_out)}
 
     return scores, pullback
 

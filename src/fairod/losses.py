@@ -733,8 +733,10 @@ class TotalLossSpec:
                 g += grad
         comps["total"] = float(total)
         grads = pullback(g)
-        for k, v in grads.items():
-            _assert_finite(v, f"grad[{k}]")
+        # one sum over all six arrays; the arrays are named only on failure
+        if not math.isfinite(np.concatenate([v.ravel() for v in grads.values()]).sum()):
+            for k, v in grads.items():
+                _assert_finite(v, f"grad[{k}]")
         return float(total), grads, comps
 
 

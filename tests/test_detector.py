@@ -1,6 +1,8 @@
-"""Detector tests: sizing rule, Glorot init, forward pass, scoring."""
+"""Detector tests: sizing rule, Glorot init, forward pass, scoring, and
+the fused pass against the row-major formulas it must reproduce."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from numpy.testing import assert_allclose
 from fairod.detector import (
     AEConfig,
     AutoencoderParams,
+    _col_sums,
     hidden_size_rule,
     init_params,
     score,
+    score_and_pullback,
     score_graph,
 )
 from fairod.numgrad import as_var
@@ -136,3 +140,88 @@ def test_activation_validation():
     doc["activation"] = "relu"
     with pytest.raises(ValueError, match="relu"):
         AutoencoderParams.from_json_dict(doc)
+
+
+def row_major_score_and_pullback(params, X):
+    """`score_and_pullback` written as plain (N,d) numpy expressions, in
+    which every broadcast and reduction runs along the rows' width."""
+    h1 = np.tanh(X @ params["W_enc1"] + params["b_enc1"])
+    h2 = np.tanh(h1 @ params["W_dec1"] + params["b_dec1"])
+    resid = X - (h2 @ params["W_out"] + params["b_out"])
+    scores = (resid * resid).sum(axis=1)
+
+    def pullback(g):
+        g_out = resid * (-2.0 * g)[:, None]
+        g_h2 = (g_out @ params["W_out"].T) * (1.0 - h2 * h2)
+        g_h1 = (g_h2 @ params["W_dec1"].T) * (1.0 - h1 * h1)
+        return {"W_enc1": X.T @ g_h1, "b_enc1": g_h1.sum(axis=0),
+                "W_dec1": h1.T @ g_h2, "b_dec1": g_h2.sum(axis=0),
+                "W_out": h2.T @ g_out, "b_out": g_out.sum(axis=0)}
+
+    return scores, pullback
+
+
+def upstreams(rng, n):
+    """Upstream gradients on the scores: normal draws with exact +0.0 and
+    -0.0 mixed in, zeros of mixed sign, and all -0.0."""
+    g = rng.normal(size=n)
+    g[rng.random(n) < 0.25] = 0.0
+    g[rng.random(n) < 0.25] = -0.0
+    return g, np.where(rng.random(n) < 0.5, 0.0, -0.0), np.full(n, -0.0)
+
+
+@pytest.mark.parametrize("d", [*range(1, 21), 100, 101, 129])
+def test_fused_pass_is_the_row_major_pass_bit_for_bit(d):
+    # the hidden width is 2 up to d = 100 and 8 from d = 101.  A sum's order
+    # depends on the width (sequential below 8 cells, eight accumulators
+    # from 8) and a column sum's also on the row count, down to the sign of
+    # a zero sum
+    for n in (0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 2400):
+        rng = np.random.default_rng(1000 * d + n)
+        p = init_params(AEConfig.for_dim(d, seed=d)).to_dict()
+        params = {k: v + rng.normal(scale=0.3, size=v.shape) for k, v in p.items()}
+        X = rng.normal(size=(n, d)) * 2.0
+        for g in upstreams(rng, n):
+            scores, pullback = score_and_pullback(params, X)
+            want_scores, want_pullback = row_major_score_and_pullback(params, X)
+            assert scores.tobytes() == want_scores.tobytes(), (n, d)
+            grads, want = pullback(g), want_pullback(g)
+            assert list(grads) == list(want)
+            for k in want:
+                assert grads[k].shape == want[k].shape, (n, d, k)
+                assert grads[k].tobytes() == want[k].tobytes(), (n, d, k)
+
+
+def pass_peaks(pass_fn, params, X, g):
+    """tracemalloc peaks of the forward pass and of the pullback; the
+    second includes what the forward pass holds for the pullback."""
+    tracemalloc.start()
+    try:
+        _, pullback = pass_fn(params, X)
+        forward = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        pullback(g)
+        return forward, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fused_pass_peak_memory_is_within_one_vector_of_the_row_major_pass():
+    # an (N, w) temporary in a long-axis op, e.g. np.add.accumulate without
+    # out=, would add two N-vectors on these (N, 2) arrays
+    n = 200_000
+    rng = np.random.default_rng(3)
+    params = init_params(AEConfig.for_dim(2, seed=3)).to_dict()
+    X, g = rng.normal(size=(n, 2)), rng.normal(size=n)
+    fused = pass_peaks(score_and_pullback, params, X, g)
+    row_major = pass_peaks(row_major_score_and_pullback, params, X, g)
+    assert fused[0] <= row_major[0] + 8 * n
+    assert fused[1] <= row_major[1] + 8 * n
+    # the pullback's peak comes before its bias sums, so check those alone
+    G = rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        _col_sums(G)
+        assert tracemalloc.get_traced_memory()[1] < 8 * n
+    finally:
+        tracemalloc.stop()

@@ -899,6 +899,28 @@ def test_fused_loss_names_the_non_finite_term(rng):
         eval_loss_grad_components(huge, X, spec)
 
 
+@pytest.mark.parametrize("key", ["W_enc1", "b_dec1", "b_out"])
+def test_fused_loss_names_the_non_finite_gradient_array(key, monkeypatch, rng):
+    # the six gradient arrays pass one finiteness test; a failure names the
+    # first array, in parameter order, that holds a non-finite value
+    real = losses.score_and_pullback
+
+    def poisoned(params, X):
+        scores, pullback = real(params, X)
+
+        def poisoned_pullback(g):
+            grads = pullback(g)
+            grads[key].flat[-1] = np.nan
+            grads["b_out"][0] = np.inf
+            return grads
+        return scores, poisoned_pullback
+
+    monkeypatch.setattr(losses, "score_and_pullback", poisoned)
+    spec = TotalLossSpec(variant="base_only", weights=LossWeights(1.0, 0.0))
+    with pytest.raises(NumericalOverflowError, match=rf"'grad\[{key}\]'"):
+        eval_loss_grad_components(perturbed_params(rng, 3), rng.normal(size=(20, 3)), spec)
+
+
 def test_loss_weight_validation():
     with pytest.raises(ValueError):
         LossWeights(alpha=1.5, gamma=0.0)
