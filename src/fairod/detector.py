@@ -7,23 +7,25 @@ adds its hand-written backward pass over the six parameter arrays.  The
 tape version, `score_graph`, computes the same values bit for bit; it
 carries the value-only losses and the gradient oracle.
 
-The arrays are (N, w) in C order, and w is 2 on the synthetic sets, so a
-numpy op broadcast or reduced along w runs a 2-long inner loop per row.
-The fused pass therefore runs the ops on rows shorter than 8 cells down
-the N rows of each column, and keeps numpy's summation orders exactly:
-- a bias add and the upstream gradient's per-row scale run through the
-  transposed view in C order; an elementwise op gives the same bits in
-  any iteration order;
+The arrays are (N, w) in C order, and w is 2 on the synthetic sets and
+in the hidden layers up to d = 100, so a numpy op broadcast or reduced
+along w runs a 2-long inner loop per row.  The fused pass therefore runs
+those ops down the N rows of each column, and keeps numpy's summation
+orders exactly:
+- on rows of 2 cells, a bias add and the upstream gradient's per-row
+  scale run through the transposed view in C order; an elementwise op
+  gives the same bits in any iteration order;
 - numpy sums a row (`sum(axis=1)`) from +0.0, cell after cell below 8
   cells and pairwise with eight accumulators from 8 cells on, so a score
-  adds the squared residual's columns in order, and rows of 8 cells or
-  more keep `sum(axis=1)`;
-- numpy sums a column (`sum(axis=0)`) from +0.0, row after row, so a bias
-  gradient is the last row of `np.add.accumulate` down the columns, taken
-  in place, plus +0.0.  A width-1 array keeps `sum(axis=0)`, which numpy
-  sums pairwise.
-The six matmuls are the tape's calls on the same operands.  Rows of 8
-cells or more keep the row-major ops, which are the faster ones there.
+  adds the squared residual's columns in order on rows of 2 to 7 cells,
+  and rows of 8 cells or more keep `sum(axis=1)`;
+- numpy sums a column (`sum(axis=0)`) from +0.0, row after row, so on
+  rows of 2 cells a bias gradient is the last row of `np.add.accumulate`
+  down the columns, taken in place, plus +0.0.
+Other widths keep the row-major ops: from 3 cells on the column loops
+gain little or lose time (the timings are at `_NARROW`), and a width-1
+column sum would not match, because numpy sums it pairwise.  The six matmuls are the tape's calls on
+the same operands.
 
 The scoring path is params-only by construction: `score` accepts no group
 information, so treatment parity is structural.
@@ -114,16 +116,29 @@ def init_params(cfg: AEConfig) -> AutoencoderParams:
     )
 
 
-# Ops on rows shorter than this run down the columns (see the module
-# docstring).  From 8 cells on, numpy sums a row with eight accumulators,
-# and the row-major loop is the faster one.
-_SHORT_ROW = 8
+# numpy sums a row of 8 cells or more pairwise with eight accumulators, so
+# only shorter rows can be summed column by column bit for bit.  On 2 CPUs
+# (best of 7 timings) the column adds took 5-22 us against 39-57 us for
+# `sum(axis=1)` on 2400 rows of 2-7 cells; on 64 rows they are faster up to
+# 4 cells and up to 1.2 us slower from 5.
+_PAIRWISE_ROW = 8
+
+# The other long-axis ops run on rows of 2 cells only.  Timed the same way
+# against the row-major ops, the transposed bias add, the transposed
+# per-row scale and the accumulate-based column sum are faster at 2 cells
+# on 2400 and 200k rows (2400 rows: 3.9 against 14.2 us, 5.6 against
+# 11.6 us, 15.6 against 36.3 us), mixed at 3 and 4 cells and slower from 5.
+# At 200k rows the bias add takes 4.0 against 1.4 ms at 8 cells and 115
+# against 23 ms at 129 cells, the scale 8.5 against 2.4 ms and 608
+# against 58 ms, and the accumulate 878 against 27.6 ms at 129 cells.  No
+# benchmark workload has rows wider than 2 cells.
+_NARROW = 2
 
 
 def _row_sq_sums(R: np.ndarray) -> np.ndarray:
     """`(R * R).sum(axis=1)` bit for bit."""
     sq = R * R
-    if not 1 < sq.shape[1] < _SHORT_ROW:
+    if not 1 < sq.shape[1] < _PAIRWISE_ROW:
         return sq.sum(axis=1)
     s = sq[:, 0] + sq[:, 1]
     for j in range(2, sq.shape[1]):
@@ -132,8 +147,8 @@ def _row_sq_sums(R: np.ndarray) -> np.ndarray:
 
 
 def _col_sums(A: np.ndarray) -> np.ndarray:
-    """`A.sum(axis=0)` bit for bit, overwriting A when its rows are short."""
-    if not 1 < A.shape[1] < _SHORT_ROW or len(A) == 0:
+    """`A.sum(axis=0)` bit for bit, overwriting A when its rows are narrow."""
+    if A.shape[1] != _NARROW or len(A) == 0:
         return A.sum(axis=0)
     np.add.accumulate(A, axis=0, out=A)
     # numpy's sum starts from +0.0, so a column of -0.0 sums to +0.0
@@ -143,7 +158,7 @@ def _col_sums(A: np.ndarray) -> np.ndarray:
 def _layer(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """X @ W + b, as a fresh array."""
     Z = X @ W
-    if Z.shape[1] < _SHORT_ROW:
+    if Z.shape[1] == _NARROW:
         ZT = Z.T
         np.add(ZT, b[:, None], out=ZT, order="C")
     else:
@@ -170,7 +185,7 @@ def score_and_pullback(params: dict[str, np.ndarray], X: np.ndarray):
     scores = _row_sq_sums(resid)
 
     def pullback(g: np.ndarray) -> dict[str, np.ndarray]:
-        if resid.shape[1] < _SHORT_ROW:
+        if resid.shape[1] == _NARROW:
             g_out = np.empty_like(resid)
             np.multiply(resid.T, -2.0 * g, out=g_out.T, order="C")
         else:
