@@ -24,8 +24,8 @@ orders exactly:
   down the columns, taken in place, plus +0.0.
 Other widths keep the row-major ops: from 3 cells on the column loops
 gain little or lose time (the timings are at `_NARROW`), and a width-1
-column sum would not match, because numpy sums it pairwise.  The six matmuls are the tape's calls on
-the same operands.
+column sum would not match, because numpy sums it pairwise.  The six
+matmuls are the tape's calls on the same operands.
 
 The scoring path is params-only by construction: `score` accepts no group
 information, so treatment parity is structural.
