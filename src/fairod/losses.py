@@ -34,13 +34,8 @@ stay finite when a variance hits zero.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,25 +215,12 @@ def loss_sp(scores: np.ndarray, pv: np.ndarray) -> float:
 # most _RANK_BLOCK * n pair values, which bounds the rank term's memory.
 _RANK_BLOCK = 64
 
-# Groups of more than _RANK_SERIAL_BLOCKS blocks run their blocks on a
-# thread pool; smaller ones run them in the calling thread.  Handing a block
-# to a thread and back costs about 20-45 us.  Measured on a 2-CPU box,
-# forward pass and VJP at c = 50, serial against 2 threads (best of 3
-# medians, 3 runs): 640 rows 1.7-2.6 ms against 1.9-2.5 ms, 768 rows 2.4-3.5
-# against 2.5-3.1, 1024 rows 4.2-5.9 against 3.4-4.6, 2000 rows 15-19 against
-# 9-13.  At most _RANK_MAX_THREADS threads hold a block at once, so the term
-# holds at most that many times _RANK_BLOCK * n pair values: 11.7 MiB at
-# n = 4000.
-_RANK_SERIAL_BLOCKS = 12
-_RANK_MAX_THREADS = 6
-
 # The fused pass ranks a group of at least _BINNED_MIN_ROWS rows on a grid
 # (`_binned_ranks`, c * (grid step) = _BIN_STEP) when the grid costs less
 # than the pairs: bins * _PAIRS_PER_BIN < n^2, bins the power of two at or
 # above the grid's points, at most _BINNED_MAX_BINS.  Measured on a 2-CPU
 # box, forward pass and VJP at c = 50 (median of 15-21): the exact pass
-# takes 4.7-5.7 ns per pair at 768-3000 rows, serial or on threads (a free
-# second CPU made it up to 1.8x faster in earlier runs).  The binned pass
+# takes 4.7-5.7 ns per pair at 768-3000 rows.  The binned pass
 # runs FFTs of length L, the power of two at or above points +
 # _KERNEL_REACH: at 2000 rows it takes 0.33 ms at L = 4096, 0.57 ms at 8192,
 # 1.3 ms at 16384, 3.4 ms at 32768, 8.5 ms at 65536 and 20 ms at 131072
@@ -255,8 +237,7 @@ _RANK_MAX_THREADS = 6
 # pass on purpose, so that the same groups are binned, and re-tuning it is
 # a change of its own.  Below
 # _BINNED_MIN_ROWS the exact pass costs at most about 5 ms, and every group
-# there stays exact, the threaded groups of 769-1023 rows and every
-# minibatch group among them.
+# there stays exact, every minibatch group among them.
 _BINNED_MIN_ROWS = 1024
 _BIN_STEP = 0.1
 _PAIRS_PER_BIN = 50
@@ -267,61 +248,6 @@ _BINNED_MAX_BINS = 1 << 17
 # with 2|x| = _BIN_STEP |d|, and 4 exp(-62 ln 2) = 2^-60.  430 at 0.1.
 _KERNEL_REACH = math.ceil(62.0 * math.log(2.0) / _BIN_STEP)
 _spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # `_kernel_spectra`, by FFT length
-
-_rank_pool: tuple[int, ThreadPoolExecutor] | None = None  # (threads, pool)
-_rank_pool_lock = threading.Lock()
-_rank_threads_allowed = True  # False in a forked child: its parent's pool owns the cores
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _rank_workers() -> int:
-    """Threads for one group's rank blocks; 1 runs them in the calling thread."""
-    return min(_cpu_count(), _RANK_MAX_THREADS) if _rank_threads_allowed else 1
-
-
-def _drop_rank_pool_in_child() -> None:
-    # a forked child (a grid cell) inherits the pool object but not its
-    # threads, and its siblings already own the cores
-    global _rank_pool, _rank_threads_allowed
-    _rank_pool, _rank_threads_allowed = None, False
-
-
-os.register_at_fork(after_in_child=_drop_rank_pool_in_child)
-
-
-def _in_order(task, items, workers: int):
-    """task(item) for each item, yielded in item order.  With more than one
-    worker the tasks run on the module's thread pool, at most 2 * workers
-    queued or running at once, each in a copy of the caller's context so
-    that np.errstate (a context variable since NumPy 2) holds inside it."""
-    global _rank_pool
-    if workers == 1:
-        yield from map(task, items)
-        return
-    with _rank_pool_lock:
-        if _rank_pool is None or _rank_pool[0] != workers:  # first use, or the CPU set changed
-            if _rank_pool is not None:
-                _rank_pool[1].shutdown(wait=False)
-            _rank_pool = workers, ThreadPoolExecutor(workers, thread_name_prefix="fairod-rank")
-        pool = _rank_pool[1]
-    pending = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(contextvars.copy_context().run, task, item))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:  # the caller stopped early, e.g. on a floating-point error
-        for future in pending:
-            future.cancel()
 
 
 def _pairwise_ranks(s: np.ndarray, c: float):
@@ -345,14 +271,12 @@ def _pairwise_ranks(s: np.ndarray, c: float):
     _RANK_BLOCK x _RANK_BLOCK, the whole matrix of a one-block group)
     rather than keeping n^2/2 values alive.
 
-    A block task returns only its partial sums; the calling thread adds
-    them in block order, so a group above _RANK_SERIAL_BLOCKS blocks, whose
-    tasks run on threads, gets the same bits for any number of threads.
+    Each block is dropped before the next is formed, so the pass holds one
+    block of at most _RANK_BLOCK * n pair values at a time.
     """
     n = s.size
     h = (0.5 * c) * s
     starts = range(0, n, _RANK_BLOCK)
-    workers = _rank_workers() if len(starts) > _RANK_SERIAL_BLOCKS else 1
 
     def block(a):
         b = min(a + _RANK_BLOCK, n)
@@ -360,39 +284,32 @@ def _pairwise_ranks(s: np.ndarray, c: float):
         np.tanh(t, out=t)
         return b, t
 
-    def forward(a):
-        b, t = block(a)
-        return b, t.sum(axis=1), t[:, b - a:].sum(axis=0) if b < n else t
-
     tsum = np.zeros(n)
-    for a, (b, rows, right) in zip(starts, _in_order(forward, starts, workers)):
-        tsum[a:b] += rows
+    for a in starts:
+        b, t = block(a)
+        tsum[a:b] += t.sum(axis=1)
         if b < n:
-            tsum[b:] -= right
+            tsum[b:] -= t[:, b - a:].sum(axis=0)
         else:
-            last = right  # the final block itself, which the VJP reuses
+            last = t  # the final block itself, which the VJP reuses
+        del t
     ranks = tsum * 0.5 + (0.5 + 0.5 * n)
 
     def vjp(g):
-        def backward(a):
+        tg = np.zeros(n)
+        tsq = np.zeros(n)
+        for a in starts[::-1]:
             if a == starts[-1]:
                 b, t = n, np.square(last)
             else:
                 b, t = block(a)
                 np.square(t, out=t)
-            right = t[:, b - a:]
-            cols = (g[a:b] @ right, right.sum(axis=0)) if b < n else None
-            return b, t @ g[a:], t.sum(axis=1), cols
-
-        tg = np.zeros(n)
-        tsq = np.zeros(n)
-        order = starts[::-1]
-        for a, (b, tg_rows, tsq_rows, cols) in zip(order, _in_order(backward, order, workers)):
-            tg[a:b] += tg_rows
-            tsq[a:b] += tsq_rows
-            if cols is not None:
-                tg[b:] += cols[0]
-                tsq[b:] += cols[1]
+            tg[a:b] += t @ g[a:]
+            tsq[a:b] += t.sum(axis=1)
+            if b < n:
+                tg[b:] += g[a:b] @ t[:, b - a:]
+                tsq[b:] += t[:, b - a:].sum(axis=0)
+            del t
         return (0.25 * c) * (g.sum() - tg - g * (n - tsq))
 
     return ranks, vjp
@@ -405,9 +322,7 @@ def _kernel_spectra(size: int) -> tuple[np.ndarray, np.ndarray]:
     and the VJP's 1 - tanh^2(x), with x = _BIN_STEP d / 2.  Both are
     written through e = exp(-2|x|), as -sign(x) 2e / (1 + e) and
     4e / (1 + e)^2, so their tails do not cancel against 1.
-    Computed once per size and kept: at most one entry per power of two.
-    Two threads that miss at once compute the same bits, so the cache
-    needs no lock."""
+    Computed once per size and kept: at most one entry per power of two."""
     spectra = _spectra.get(size)
     if spectra is None:
         e = np.exp(-_BIN_STEP * np.arange(1, _KERNEL_REACH))  # at |d| = 1 .. _KERNEL_REACH - 1

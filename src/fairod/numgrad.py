@@ -16,9 +16,7 @@ terms are summed, with which weights, or in which order.  The tape keeps
 only the operations those losses and the detector use.
 
 Everything is deterministic: no randomness, accumulation order fixed by
-graph construction order.  The smoothed-rank node runs a large group's
-blocks on threads but adds their partial sums in block order, so its bits
-do not depend on the number of threads.
+graph construction order.
 """
 
 from __future__ import annotations

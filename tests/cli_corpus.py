@@ -83,7 +83,7 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
                              "--alpha-grid", "0.01,0.5", "--gamma-grid", "0.1,1"]),
         # one row at (1000, -1000) among standard normal rows stretches the
         # 1200-row group's unit-scaled scores to a range of about 34.7: too
-        # many bins, so training ranks the group exactly, on threads
+        # many bins, so training ranks the group exactly
         ("fairod-outlier", ["train", "--data", str(out / "outlier.csv"), "--seed", "5",
                             "--epochs", "20", "--lr", "0.05", "--standardize",
                             "--variant", "fairod", "--base", base_1200]),

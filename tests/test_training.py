@@ -427,35 +427,6 @@ def test_grid_search_parallel_matches_serial():
         assert s.fairness == p.fairness and s.group_fidelity == p.group_fidelity
 
 
-def _rank_threads_in_child():
-    from fairod import losses
-    return losses._rank_pool is None, losses._rank_workers()
-
-
-def test_grid_children_rank_serially_after_a_threaded_fit(monkeypatch):
-    from fairod import losses
-
-    monkeypatch.setattr(losses, "_cpu_count", lambda: 2)
-    rows = (losses._RANK_SERIAL_BLOCKS + 1) * losses._RANK_BLOCK
-    ds = tiny_ds(n=3 * rows // 2, seed=7)  # a group of `rows`, ranked on threads
-    base = fit_base(ds, TrainConfig(variant="base_only", epochs=3, seed=2))
-    cfg = TrainConfig(epochs=3, seed=2)
-    fit_fairod(ds, base, cfg)
-    assert losses._rank_pool is not None
-    # a forked child drops the pool it inherits without its threads
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(1, mp_context=fork) as pool:
-        assert pool.submit(_rank_threads_in_child).result(timeout=120) == (True, 1)
-    grid = {"alpha": [0.1, 0.9], "gamma": [0.5]}
-    serial = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=1)
-    parallel = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=2)
-    for s, p in zip(serial, parallel):
-        assert s.error is None and p.error is None
-        assert s.fit.to_json() == p.fit.to_json()
-        assert s.fit.scores.tobytes() == p.fit.scores.tobytes()
-        assert s.fairness == p.fairness and s.group_fidelity == p.group_fidelity
-
-
 def test_full_batch_fit_is_the_same_bits_with_a_cold_and_a_warm_spectrum_cache(monkeypatch):
     from fairod import losses
 
