@@ -198,12 +198,6 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _prepare_out(out_dir: str | Path) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _load_dataset(path: str, do_standardize: bool) -> LabeledDataset:
     try:
         ds = load_csv(path)
@@ -457,8 +451,7 @@ def _exec_replay(manifest_path: str, out_dir: Path) -> int:
     if missing:
         raise DataError(f"bad manifest {manifest_path}: {command} inputs lack "
                         f"{', '.join(missing)}")
-    config = {k: _parse_value(k, _manifest_text(v)) if k in _PARSERS else v
-              for k, v in config.items()}
+    config = {k: _parse_value(k, _manifest_text(v)) for k, v in config.items()}
     print(f"replaying {command} into {out_dir}")
     return _run(command, config, inputs, out_dir)
 
@@ -556,7 +549,8 @@ def _abs_paths(pairs: dict) -> dict:
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
-    out_dir = _prepare_out(ns.out)
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if ns.command == "replay":
         return _exec_replay(ns.manifest, out_dir)
     if ns.command == "synth":

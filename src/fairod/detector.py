@@ -49,21 +49,6 @@ def hidden_size_rule(d: int) -> int:
     return 2 if d <= 100 else 8
 
 
-@dataclass(frozen=True)
-class AEConfig:
-    input_dim: int
-    hidden_dim: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("input_dim and hidden_dim must be >= 1")
-
-    @classmethod
-    def for_dim(cls, d: int, seed: int = 0) -> "AEConfig":
-        return cls(input_dim=d, hidden_dim=hidden_size_rule(d), seed=seed)
-
-
 @dataclass
 class AutoencoderParams:
     """Two tanh hidden layers: encode d->m, decode m->m, linear output m->d."""
@@ -102,10 +87,10 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(cfg: AEConfig) -> AutoencoderParams:
-    """Glorot-uniform weights, zero biases, fully determined by cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
-    d, m = cfg.input_dim, cfg.hidden_dim
+def init_params(d: int, seed: int) -> AutoencoderParams:
+    """Glorot-uniform weights, zero biases, fully determined by d and seed."""
+    m = hidden_size_rule(d)
+    rng = np.random.default_rng(seed)
     return AutoencoderParams(
         W_enc1=_glorot(rng, d, m),
         b_enc1=np.zeros(m),

@@ -1,9 +1,9 @@
 """Flagging rule and evaluation measures: flag-rate parity, rank fidelity
 against a base detector, top-k agreement, and per-group precision measures.
 
-Degenerate quantities (zero flag rates, zero positives, all-zero
-relevances) are reported as None plus a note, never silently dropped and
-never a crash.  Ties are always broken by ascending row index.
+Degenerate quantities (zero positives, all-zero relevances) are reported
+as None plus a note, never silently dropped and never a crash.  Ties are
+always broken by ascending row index.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class ScoreSet:
     which keeps ties in ascending row order."""
 
     scores: np.ndarray
-    f: float
     flags: np.ndarray
     order: np.ndarray
     group_orders: dict[int, np.ndarray]
@@ -65,7 +64,7 @@ class ScoreSet:
         order = _rank_order(scores)
         ranked_pv = pv[order]
         group_orders = {int(g): order[ranked_pv == g] for g in np.unique(pv)}
-        return cls(scores=scores, f=f, flags=_top_flags(order, f), order=order,
+        return cls(scores=scores, flags=_top_flags(order, f), order=order,
                    group_orders=group_orders)
 
 
@@ -284,8 +283,6 @@ def build_report(scores: np.ndarray, ds: LabeledDataset, f: float,
     notes: list[str] = []
 
     fairness = fairness_metric(ss.flags, ds.pv)
-    if fairness is None:
-        notes.append("fairness degenerate: no group has any flags")
     flag_rates = {g: float(ss.flags[idx].mean()) for g, idx in groups.items()}
 
     ndcg: dict[int, float | None] = {g: None for g in gids}

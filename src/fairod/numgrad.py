@@ -189,8 +189,6 @@ class Var:
             node.grad = None
         self.grad = np.ones_like(self.value)
         for node in reversed(topo):
-            if node.grad is None:
-                continue
             g = node.grad
             for parent, vjp in zip(node._parents, node._vjps):
                 if not parent.needs_grad:

@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from .dataset import GroupView, LabeledDataset, group_view, pv_groups
-from .detector import AEConfig, AutoencoderParams, init_params, score
+from .detector import AutoencoderParams, init_params, score
 from .evalmetrics import ScoreSet, fairness_metric, group_fidelity
 from .losses import VARIANTS, BaseScoreSet, LossWeights, TotalLossSpec, idcg_group, needs_base
 from .numgrad import adam_step, eval_loss_grad_components, init_adam
@@ -108,11 +108,10 @@ def _slice_base(base: BaseScoreSet, rows: np.ndarray | slice,
     )
 
 
-def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
+def _run_fit(ds: LabeledDataset, cfg: TrainConfig,
              base_set: BaseScoreSet | None) -> FitResult:
-    cfg_run = replace(cfg, variant=variant)
     X = ds.features
-    init = init_params(AEConfig.for_dim(ds.d, seed=cfg.seed)).to_dict()
+    init = init_params(ds.d, cfg.seed).to_dict()
     # the six arrays are views of one vector, which Adam updates in place
     theta = np.concatenate([a.ravel() for a in init.values()])
     params, start = {}, 0
@@ -120,14 +119,14 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
         params[k] = theta[start:start + a.size].reshape(a.shape)
         start += a.size
     adam = init_adam(theta, lr=cfg.lr)
-    pv = ds.pv if variant != "base_only" else None
+    pv = ds.pv if cfg.variant != "base_only" else None
     trace: dict[str, list[float]] = {k: [] for k in TRACE_KEYS}
     rng = np.random.default_rng(cfg.seed)
     batch_size = cfg.batch_size or ds.n
     # a full batch is all rows in row order with no draw from rng: its
     # spec, built once, holds the dataset's groups and base_set as they are
     full_spec = None if cfg.batch_size is not None else TotalLossSpec(
-        variant=variant, weights=cfg.weights, pv=pv, base=base_set,
+        variant=cfg.variant, weights=cfg.weights, pv=pv, base=base_set,
         groups=None if pv is None else group_view(ds))
 
     for epoch in range(cfg.epochs):
@@ -142,13 +141,13 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
                 pv_b = None if pv is None else pv[rows]
                 groups_b = None if pv_b is None else pv_groups(pv_b)
                 base_b = None if base_set is None else _slice_base(base_set, rows, groups_b)
-                spec = TotalLossSpec(variant=variant, weights=cfg.weights, pv=pv_b,
+                spec = TotalLossSpec(variant=cfg.variant, weights=cfg.weights, pv=pv_b,
                                      base=base_b, groups=groups_b)
             try:
                 _, grads, comps = eval_loss_grad_components(params, X_b, spec)
             except FloatingPointError as e:
                 raise TrainingError(
-                    f"{variant} fit diverged at epoch {epoch}: {e}") from e
+                    f"{cfg.variant} fit diverged at epoch {epoch}: {e}") from e
             # the row weight is formed before multiplying: for a single batch
             # it is exactly 1.0, so a full-batch trace holds its terms bit for bit
             for k in TRACE_KEYS:
@@ -160,13 +159,13 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig, variant: str,
     trained = AutoencoderParams(**params)
     scores = score(trained, X)
     if not np.all(np.isfinite(scores)):
-        raise TrainingError(f"{variant} fit produced non-finite scores")
-    return FitResult(params=trained, trace=trace, scores=scores, config=cfg_run)
+        raise TrainingError(f"{cfg.variant} fit produced non-finite scores")
+    return FitResult(params=trained, trace=trace, scores=scores, config=cfg)
 
 
 def fit_base(ds: LabeledDataset, cfg: TrainConfig) -> FitResult:
     """Train on reconstruction error alone.  Group labels are never read."""
-    return _run_fit(ds, cfg, "base_only", None)
+    return _run_fit(ds, replace(cfg, variant="base_only"), None)
 
 
 def fit_base_multi_seed(ds: LabeledDataset, cfg: TrainConfig, n_seeds: int = 5) -> FitResult:
@@ -193,7 +192,7 @@ def fit_fairod(ds: LabeledDataset, base: FitResult, cfg: TrainConfig) -> FitResu
     base_set = None
     if needs_base(cfg.variant, cfg.weights):
         base_set = BaseScoreSet.from_scores(base_scores, group_view(ds))
-    return _run_fit(ds, cfg, cfg.variant, base_set)
+    return _run_fit(ds, cfg, base_set)
 
 
 # -- grid and selection -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from test_losses import discrete_gf_oracle, spaced_unit_scores
 from fairod import cli
 from fairod.claimcheck import tables, verify_claim1, verify_claim2
 from fairod.dataset import make_synth1, make_synth2, standardize
-from fairod.detector import AEConfig, init_params
+from fairod.detector import init_params
 from fairod.evalmetrics import (
     ScoreSet,
     ap_ratio,
@@ -110,7 +110,7 @@ def test_ac1_gradient_exactness():
             X = rng.normal(size=(n, d))
             pv = rng.permutation(np.arange(n) % 2)
             groups = {g: np.flatnonzero(pv == g) for g in (0, 1)}
-            params = init_params(AEConfig.for_dim(d, seed=100 * case))
+            params = init_params(d, 100 * case)
             base = BaseScoreSet.from_scores(rng.random(n) + 0.1, groups)
             weights = LossWeights(alpha=float(rng.uniform(0.05, 0.95)),
                                   gamma=float(rng.uniform(0.05, 1.0)))

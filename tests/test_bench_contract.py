@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracer import PATCHES, Tracer  # noqa: E402
 
 from fairod import losses, numgrad  # noqa: E402
-from fairod.detector import AEConfig, init_params  # noqa: E402
+from fairod.detector import init_params  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls_every_patch():
@@ -28,7 +28,7 @@ def test_tracer_installs_and_uninstalls_every_patch():
 def _problem(rng):
     X = rng.normal(size=(12, 3))
     pv = np.array([0, 0, 0, 1] * 3)
-    params = init_params(AEConfig(3, 2, seed=0))
+    params = init_params(3, 0)
     groups = {int(g): np.flatnonzero(pv == g) for g in np.unique(pv)}
     base = losses.BaseScoreSet.from_scores(rng.normal(size=12), groups)
     return X, pv, groups, params, base

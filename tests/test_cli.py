@@ -106,6 +106,17 @@ class TestTrain:
         assert code == cli.EXIT_USAGE
         assert "--base is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--variant", "nope"], "unknown variant 'nope'"),
+        (["--variant", "base", "--base-seeds", 0], "base_seeds must be >= 1")])
+    def test_bad_variant_or_base_seeds_is_usage_error(self, work, tmp_path, capsys,
+                                                      args, message):
+        code = run("train", "--data", work["data"], "--seed", 1, "--epochs", 2, *args,
+                   "--out", tmp_path)
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--alpha", "nan"),
                                              ("--lr", "inf"), ("--c", "nan"),
                                              ("--gamma", "inf"), ("--c", "-inf")])
@@ -171,6 +182,11 @@ class TestTrain:
         assert run("train", "--data", work["data"], "--variant", "base", "--seed", 1,
                    "--config", cfg, "--out", tmp_path) == cli.EXIT_USAGE
         assert "bogus_key" in capsys.readouterr().err
+
+    def test_unreadable_config_file_is_data_error(self, work, tmp_path, capsys):
+        assert run("train", "--data", work["data"], "--variant", "base", "--seed", 1,
+                   "--config", tmp_path, "--out", tmp_path / "out") == cli.EXIT_DATA
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_malformed_config_line_is_usage_error(self, work, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -379,6 +395,14 @@ class TestGrid:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_every_cell_diverging_is_numeric_error(self, work, tmp_path, capsys):
+        with np.errstate(over="ignore"):
+            code = run("grid", "--data", work["data"], "--base", work["base"],
+                       "--seed", 3, "--epochs", 3, "--lr", 1e200, "--out", tmp_path)
+        assert code == cli.EXIT_NUMERIC
+        assert "no usable grid cell" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_bad_jobs_is_usage_error(self, work, tmp_path):
         assert run("grid", "--data", work["data"], "--base", work["base"],
                    "--seed", 3, "--jobs", 0, "--out", tmp_path) == cli.EXIT_USAGE
@@ -479,6 +503,12 @@ class TestReplay:
     def test_missing_manifest_is_data_error(self, tmp_path):
         assert run("replay", "--manifest", tmp_path / "none.json",
                    "--out", tmp_path) == cli.EXIT_DATA
+
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text("{not json")
+        assert run("replay", "--manifest", bad, "--out", tmp_path) == cli.EXIT_DATA
+        assert "bad manifest" in capsys.readouterr().err
 
     def test_unknown_command_in_manifest_is_data_error(self, tmp_path):
         bad = tmp_path / "m.json"

@@ -512,6 +512,12 @@ def test_standardize_hand_example():
     assert_allclose(out.features[:, 1], [0.0, 0.0, 0.0])  # constant column
 
 
+def test_standardize_needs_two_rows():
+    ds = LabeledDataset(features=np.ones((1, 2)), pv=np.array([0]))
+    with pytest.raises(ValidationError, match="N >= 2"):
+        standardize(ds)
+
+
 def test_standardize_idempotent():
     rng = np.random.default_rng(0)
     ds = LabeledDataset(features=rng.normal(5, 3, size=(50, 3)), pv=np.zeros(50, dtype=int))
@@ -601,6 +607,11 @@ def test_synth2_exact_counts_and_moments():
     assert abs(inl_b_x2.mean() - 1.0) < 0.15
 
 
+def test_synth_rejects_more_outliers_than_rows():
+    with pytest.raises(ValidationError, match="more outliers requested than rows"):
+        make_synth1(5, 5, 11, seed=0)
+
+
 def test_synth2_determinism_and_std_override():
     a = make_synth2(100, 50, 6, seed=9)
     b = make_synth2(100, 50, 6, seed=9)
@@ -614,4 +625,13 @@ def test_validate_rejects_bad_labels():
     ds = LabeledDataset(features=np.zeros((4, 1)), pv=np.array([0, 0, 1, 1]),
                         labels=np.array([0, 2, 0, 1]))
     with pytest.raises(ValidationError, match="0/1"):
+        ds.validate()
+
+
+@pytest.mark.parametrize("pv, labels, message", [
+    ([0, 0, 1], [0, 1, 0, 1], "pv length"),
+    ([0, 0, 1, 1], [0, 1, 0], "labels length")])
+def test_validate_rejects_mismatched_lengths(pv, labels, message):
+    ds = LabeledDataset(features=np.zeros((4, 1)), pv=np.array(pv), labels=np.array(labels))
+    with pytest.raises(ValidationError, match=message):
         ds.validate()

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from fairod.detector import (
-    AEConfig,
     AutoencoderParams,
     _col_sums,
     hidden_size_rule,
@@ -40,11 +39,10 @@ def test_hidden_size_rule_boundaries():
 
 
 def test_init_params_deterministic_and_glorot_bounded():
-    cfg = AEConfig(input_dim=6, hidden_dim=2, seed=11)
-    p1, p2 = init_params(cfg), init_params(cfg)
+    p1, p2 = init_params(6, 11), init_params(6, 11)
     for k, a in p1.to_dict().items():
         assert np.array_equal(a, p2.to_dict()[k])
-    p3 = init_params(AEConfig(input_dim=6, hidden_dim=2, seed=12))
+    p3 = init_params(6, 12)
     assert not np.array_equal(p1.W_enc1, p3.W_enc1)
     assert np.all(np.abs(p1.W_enc1) <= np.sqrt(6.0 / (6 + 2)))
     assert np.all(np.abs(p1.W_dec1) <= np.sqrt(6.0 / (2 + 2)))
@@ -60,8 +58,7 @@ def test_reconstruct_zero_net_gives_zero():
 
 
 def test_score_finite_for_finite_input(rng):
-    cfg = AEConfig(input_dim=4, hidden_dim=2, seed=3)
-    p = init_params(cfg)
+    p = init_params(4, 3)
     X = rng.normal(size=(10, 4)) * 100
     assert np.all(np.isfinite(score(p, X)))
 
@@ -73,7 +70,7 @@ def test_score_hand_example():
 
 
 def test_score_nonnegative_and_zero_iff_exact(rng):
-    p = init_params(AEConfig(input_dim=3, hidden_dim=2, seed=5))
+    p = init_params(3, 5)
     X = rng.normal(size=(20, 3))
     s = score(p, X)
     assert np.all(s >= 0)
@@ -81,7 +78,7 @@ def test_score_nonnegative_and_zero_iff_exact(rng):
 
 
 def test_score_batch_matches_rowwise(rng):
-    p = init_params(AEConfig(input_dim=5, hidden_dim=2, seed=9))
+    p = init_params(5, 9)
     X = rng.normal(size=(8, 5))
     batch = score(p, X)
     rows = np.array([score(p, X[i])[0] if score(p, X[i]).ndim else score(p, X[i])
@@ -94,7 +91,7 @@ def test_numpy_forward_is_the_tape_forward_bit_for_bit(seed, d, n):
     # scoring runs the training forward pass; the tape's value path must see
     # the same bits
     rng = np.random.default_rng(seed)
-    p = init_params(AEConfig.for_dim(d, seed=seed))
+    p = init_params(d, seed)
     X = rng.normal(size=(n, d)) * 3.0
     tape = {k: as_var(v) for k, v in p.to_dict().items()}
     assert score(p, X).tobytes() == score_graph(tape, X).value.tobytes()
@@ -105,7 +102,7 @@ def test_score_is_row_permutation_equivariant(seed, d, n):
     # each row's score reads that row alone; the tolerance allows a BLAS that
     # orders a row's sums by where the row falls in its block
     rng = np.random.default_rng(seed)
-    p = init_params(AEConfig.for_dim(d, seed=seed))
+    p = init_params(d, seed)
     X = rng.normal(size=(n, d)) * 3.0
     perm = rng.permutation(n)
     assert_allclose(score(p, X[perm]), score(p, X)[perm], rtol=1e-12, atol=0.0)
@@ -120,7 +117,7 @@ def test_shape_mismatch_raises():
 
 
 def test_params_json_round_trip_exact(rng):
-    p = init_params(AEConfig(input_dim=4, hidden_dim=2, seed=21))
+    p = init_params(4, 21)
     q = AutoencoderParams.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
     assert q.to_json_dict() == p.to_json_dict()
     assert p.to_json_dict()["activation"] == "tanh"
@@ -178,7 +175,7 @@ def test_fused_pass_is_the_row_major_pass_bit_for_bit(d):
     # a zero sum
     for n in (0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 2400):
         rng = np.random.default_rng(1000 * d + n)
-        p = init_params(AEConfig.for_dim(d, seed=d)).to_dict()
+        p = init_params(d, d).to_dict()
         params = {k: v + rng.normal(scale=0.3, size=v.shape) for k, v in p.items()}
         X = rng.normal(size=(n, d)) * 2.0
         for g in upstreams(rng, n):
@@ -211,7 +208,7 @@ def test_fused_pass_peak_memory_is_within_one_vector_of_the_row_major_pass():
     # out=, would add two N-vectors on these (N, 2) arrays
     n = 200_000
     rng = np.random.default_rng(3)
-    params = init_params(AEConfig.for_dim(2, seed=3)).to_dict()
+    params = init_params(2, 3).to_dict()
     X, g = rng.normal(size=(n, 2)), rng.normal(size=n)
     fused = pass_peaks(score_and_pullback, params, X, g)
     row_major = pass_peaks(row_major_score_and_pullback, params, X, g)

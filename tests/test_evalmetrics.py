@@ -287,6 +287,8 @@ def test_average_precision_examples():
     assert average_precision(np.array([4.0, 3, 2, 1]), np.array([0, 1, 0, 0])) == pytest.approx(0.5)
     assert average_precision(np.array([4.0, 3, 2, 1]), np.array([1, 1, 0, 0])) == 1.0
     assert average_precision(np.array([4.0, 3, 2, 1]), np.array([0, 0, 0, 0])) is None
+    with pytest.raises(ValueError, match="equal-length"):
+        average_precision(np.array([4.0, 3, 2]), np.array([1, 0]))
 
 
 def test_average_precision_ties_by_index():
@@ -337,6 +339,10 @@ def test_ap_ratio_degenerate_and_errors():
     assert ap_ratio(ss, ds) is None
     with pytest.raises(ValueError):
         ap_ratio(ss, make_ds(8, pv))
+    pv02 = 2 * pv  # groups 0 and 2: no minority group 1 to divide by
+    ss02 = ScoreSet.from_scores(np.arange(8.0), pv02, 0.25)
+    with pytest.raises(ValueError, match="needs groups 0 and 1"):
+        ap_ratio(ss02, make_ds(8, pv02, [1, 0, 0, 0, 1, 0, 0, 0]))
 
 
 def test_p_at_k_per_group_counts():
@@ -354,6 +360,8 @@ def test_p_at_k_per_group_counts():
     got = p_at_k(ss, ds, 0.05)
     assert got == {0: 0.5, 1: 1.0}
     assert p_at_k_ratio(ss, ds, 0.05) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="requires labels"):
+        p_at_k(ss, make_ds(60, pv), 0.05)
 
 
 def test_p_at_k_ratio_zero_minority_precision_is_degenerate():

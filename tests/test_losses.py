@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from fairod import losses
 from fairod.dataset import LabeledDataset, pv_groups
-from fairod.detector import AEConfig, init_params, score
+from fairod.detector import AutoencoderParams, init_params, score
 from fairod.losses import (
     VARIANTS,
     BaseScoreSet,
@@ -99,6 +99,8 @@ def test_pearson_perfect_anticorrelation():
 def test_pearson_length_mismatch():
     with pytest.raises(ValueError):
         pearson_abs_corr(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError, match="length >= 2"):
+        pearson_abs_corr(np.ones(1), np.ones(1))
 
 
 def test_pearson_constant_input_warns_and_returns_zero():
@@ -611,6 +613,11 @@ def test_idcg_all_zero_warns():
         assert idcg_group(np.zeros(3)) == 0.0
 
 
+def test_idcg_empty_group_rejected():
+    with pytest.raises(ValueError, match="nonempty"):
+        idcg_group(np.array([]))
+
+
 def test_idcg_two_members():
     assert idcg_group(np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
     assert idcg_group(np.array([0.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
@@ -736,7 +743,7 @@ def setup_net(rng, n=12, d=4):
     X = rng.normal(size=(n, d))
     pv = np.array([0] * (n - n // 3) + [1] * (n // 3))
     groups = groups_of(pv)
-    params = init_params(AEConfig(d, 2, seed=7))
+    params = init_params(d, 7)
     base = make_base(score(params, X), groups)
     return X, pv, groups, params, base
 
@@ -771,8 +778,16 @@ def test_total_loss_missing_base_rejected():
         TotalLossSpec(variant="fairod", weights=w, pv=np.array([0, 1]))
 
 
+def test_total_loss_spec_rejects_unknown_variant_and_missing_pv():
+    w = LossWeights(alpha=0.5, gamma=0.5)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        TotalLossSpec(variant="nope", weights=w, pv=np.array([0, 1]))
+    with pytest.raises(ValueError, match="'fairod_l' requires pv"):
+        TotalLossSpec(variant="fairod_l", weights=w)
+
+
 def test_zero_net_zero_input_base_loss_and_grads_zero():
-    params = init_params(AEConfig(3, 2, seed=0))
+    params = init_params(3, 0)
     for k in params.to_dict():
         getattr(params, k)[:] = 0.0
     spec = TotalLossSpec(variant="base_only", weights=LossWeights(1.0, 0.0))
@@ -821,7 +836,7 @@ def batch_spec(variant, weights, pv, base, rows):
 
 
 def perturbed_params(rng, d):
-    p = init_params(AEConfig(d, 2, seed=int(rng.integers(1000)))).to_dict()
+    p = init_params(d, int(rng.integers(1000))).to_dict()
     return {k: v + rng.normal(scale=0.3, size=v.shape) for k, v in p.items()}
 
 
@@ -844,11 +859,21 @@ def test_fused_loss_and_grad_match_the_tape(seed, variant, sliced, alpha, gamma)
 def test_fused_grad_on_batch_missing_a_group_or_with_a_singleton(variant, rng):
     X = rng.normal(size=(40, 3))
     pv = np.array([0] * 30 + [1] * 10)
-    base = BaseScoreSet.from_scores(rng.exponential(size=40), groups_of(pv))
+    raw = rng.exponential(size=40)
+    base = BaseScoreSet.from_scores(raw, groups_of(pv))
     params = perturbed_params(rng, 3)
     for rows in (np.arange(8, 24), np.r_[0:15, 35]):  # group 1 absent; group 1 one row
         spec = batch_spec(variant, LossWeights(0.5, 0.5), pv, base, rows)
         assert_fused_matches_tape(params, X[rows], spec)
+    # the singleton at the global minimum score has relevance 0, so its
+    # group's ideal DCG is 0 and the group-fidelity term skips the group
+    raw[35] = raw.min() - 1.0
+    base = BaseScoreSet.from_scores(raw, groups_of(pv))
+    rows = np.r_[0:15, 35]
+    with pytest.warns(DegenerateInputWarning):
+        spec = batch_spec(variant, LossWeights(0.5, 0.5), pv, base, rows)
+    assert spec.base.idcg[1] == 0.0
+    assert_fused_matches_tape(params, X[rows], spec)
 
 
 def test_fused_loss_names_the_non_finite_term(rng):
@@ -858,6 +883,11 @@ def test_fused_loss_names_the_non_finite_term(rng):
     huge = {k: v * 1e200 for k, v in params.to_dict().items()}
     with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="loss_base"):
         eval_loss_grad_components(huge, X, spec)
+    # the tape, with and without gradients, names the same term
+    with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="loss_base"):
+        tape_loss_grad_components(huge, X, spec)
+    with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="loss_base"):
+        total_loss(AutoencoderParams(**huge), X, pv, base, spec.weights, "fairod", groups)
 
 
 @pytest.mark.parametrize("key", ["W_enc1", "b_dec1", "b_out"])

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from fairod.dataset import LabeledDataset, group_view, make_synth1, standardize
-from fairod.detector import AEConfig, init_params
+from fairod.detector import init_params
 from fairod.evalmetrics import ScoreSet, fairness_metric
 from fairod.losses import VARIANTS, BaseScoreSet, TotalLossSpec
 from fairod.numgrad import eval_loss_grad_components
@@ -148,6 +148,13 @@ def test_fit_abort_carries_epoch_diagnostics(monkeypatch):
     monkeypatch.setattr(training, "eval_loss_grad_components", explode)
     with pytest.raises(TrainingError, match="epoch 3.*loss_base"):
         fit_base(tiny_ds(), TrainConfig(variant="base_only", epochs=10, seed=0))
+
+
+def test_fit_base_with_non_finite_scores_raises():
+    # one step at lr 1e200 leaves finite weights whose scores overflow
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match="base_only fit produced non-finite scores"):
+        fit_base(tiny_ds(), TrainConfig(lr=1e200, epochs=1))
 
 
 # -- fit_fairod -------------------------------------------------------------------------
@@ -330,7 +337,7 @@ def test_full_batch_trace_holds_batch_terms_exactly():
     base = fit_base(ds, TrainConfig(variant="base_only", epochs=10, seed=1))
     base_set = BaseScoreSet.from_scores(base.scores, group_view(ds))
     for seed in range(5):
-        params = init_params(AEConfig.for_dim(ds.d, seed=seed)).to_dict()
+        params = init_params(ds.d, seed).to_dict()
         for variant in ("base_only", "fairod", "fairod_l", "fairod_c"):
             cfg = TrainConfig(variant=variant, alpha=0.5, gamma=0.5, epochs=1, seed=seed)
             fit = fit_fairod(ds, base, cfg)
@@ -378,6 +385,21 @@ def test_grid_search_single_cell_reduces_to_fit_fairod():
     direct = fit_fairod(ds, base, TrainConfig(alpha=0.5, gamma=0.1, epochs=8, seed=1))
     assert len(cells) == 1
     assert params_equal(cells[0].fit.params, direct.params)
+
+
+def test_grid_search_rescores_a_base_loaded_without_scores():
+    ds = tiny_ds(n=24, seed=5)
+    base = fit_base(ds, TrainConfig(variant="base_only", epochs=5, seed=0))
+    loaded = FitResult.from_json(base.to_json())
+    assert loaded.scores is None
+    grid = {"alpha": [0.1, 0.9], "gamma": [0.1]}
+    cfg = TrainConfig(epochs=5, seed=0)
+    want = grid_search(ds, base, grid=grid, cfg_common=cfg)
+    got = grid_search(ds, loaded, grid=grid, cfg_common=cfg)
+    for a, b in zip(want, got, strict=True):
+        assert a.config == b.config and a.error is None and b.error is None
+        assert params_equal(a.fit.params, b.fit.params)
+        assert (a.fairness, a.group_fidelity) == (b.fairness, b.group_fidelity)
 
 
 def test_grid_search_captures_per_cell_errors(monkeypatch):
