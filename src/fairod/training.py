@@ -10,6 +10,7 @@ membership can never leak into scores at evaluation time.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
@@ -163,6 +164,27 @@ def _run_fit(ds: LabeledDataset, cfg: TrainConfig,
     return FitResult(params=trained, trace=trace, scores=scores, config=cfg)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map(fn, workers: int, *iterables) -> list:
+    """fn over the zipped iterables, results in input order.  Above one
+    worker the calls run in a process pool of that many workers, and the
+    first call that raises, in input order, raises here as it would in
+    the loop."""
+    if workers <= 1:
+        return list(map(fn, *iterables))
+    # the default pool on Linux forks all its workers at once, as copies of
+    # this process (numpy loaded, caches warm), so callers ask for no more
+    # workers than calls
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def fit_base(ds: LabeledDataset, cfg: TrainConfig) -> FitResult:
     """Train on reconstruction error alone.  Group labels are never read."""
     return _run_fit(ds, replace(cfg, variant="base_only"), None)
@@ -170,15 +192,14 @@ def fit_base(ds: LabeledDataset, cfg: TrainConfig) -> FitResult:
 
 def fit_base_multi_seed(ds: LabeledDataset, cfg: TrainConfig, n_seeds: int = 5) -> FitResult:
     """Refit under n_seeds consecutive seeds, keep the lowest final
-    reconstruction loss; ties go to the smallest seed."""
+    reconstruction loss; ties go to the smallest seed.  The restarts run
+    in parallel, one per usable CPU, with the same result as one by one."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    best = None
-    for offset in range(n_seeds):
-        fit = fit_base(ds, replace(cfg, seed=cfg.seed + offset))
-        if best is None or fit.trace["base"][-1] < best.trace["base"][-1]:
-            best = fit
-    return best
+    configs = [replace(cfg, seed=cfg.seed + offset) for offset in range(n_seeds)]
+    fits = _map(fit_base, min(n_seeds, _usable_cpus()), repeat(ds), configs)
+    # min keeps the first of equal keys, and fits are in seed order
+    return min(fits, key=lambda fit: fit.trace["base"][-1])
 
 
 def fit_fairod(ds: LabeledDataset, base: FitResult, cfg: TrainConfig) -> FitResult:
@@ -242,11 +263,7 @@ def grid_search(ds: LabeledDataset, base: FitResult,
     if base.scores is None:
         base = replace(base, scores=base.rescore(ds))
     configs = [replace(cfg_common, alpha=a, gamma=g) for a in alphas for g in gammas]
-    if jobs > 1:
-        # a fork-based pool starts all its workers at once: no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            return list(pool.map(_grid_cell, repeat(ds), repeat(base), configs))
-    return [_grid_cell(ds, base, c) for c in configs]
+    return _map(_grid_cell, min(jobs, len(configs)), repeat(ds), repeat(base), configs)
 
 
 def pareto_select(results: list[GridResult]) -> GridResult:

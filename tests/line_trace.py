@@ -13,10 +13,12 @@ only a check reaches would count as run.  Then it prints
 their count.  Definitions, imports, annotated class fields and docstrings
 are not listed.
 
-Only this process is traced: the forked workers of a `grid --jobs 2` run
-and the `python -m fairod.cli` subprocesses of the CLI tests record
-nothing, so a statement that only they run would be listed.  On 2 CPUs the
-whole run takes about 2 minutes, against 1-1.5 for plain Tier-1.
+Only this process is traced: the forked workers of a `grid --jobs 2` run,
+the forked workers that fit `fit_base_multi_seed`'s restarts (two or more
+seeds on two or more CPUs) and the `python -m fairod.cli` subprocesses of
+the CLI tests record nothing, so a statement that only they run would be
+listed.  On 2 CPUs the whole run takes about 2 minutes, against 1-1.5 for
+plain Tier-1.
 
 Standard library and the package only; pytest does not collect this file.
 """

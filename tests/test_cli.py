@@ -3,6 +3,7 @@ precedence, and manifest replay."""
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,16 @@ class TestTrain:
         code = run("train", "--data", work["data"], "--variant", "base",
                    "--seed", 1, "--out", tmp_path)
         assert code == cli.EXIT_NUMERIC
+
+    def test_restart_diverging_in_the_pool_is_numeric_error(self, work, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with np.errstate(over="ignore"):
+            code = run("train", "--data", work["data"], "--variant", "base", "--seed", 1,
+                       "--epochs", 2, "--base-seeds", 2, "--lr", 1e200, "--out", tmp_path)
+        assert code == cli.EXIT_NUMERIC
+        assert "numerical failure: base_only fit" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
 
 class TestEval:

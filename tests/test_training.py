@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -364,6 +365,80 @@ def test_fit_base_multi_seed_picks_lowest_final_loss():
         fit_base_multi_seed(ds, cfg, n_seeds=0)
 
 
+def serial_restarts(ds, cfg, n_seeds):
+    """The restarts one by one: the reference for the pooled ones."""
+    best = None
+    for offset in range(n_seeds):
+        fit = fit_base(ds, replace(cfg, seed=cfg.seed + offset))
+        if best is None or fit.trace["base"][-1] < best.trace["base"][-1]:
+            best = fit
+    return best
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_seeds", [1, 2, 5])
+def test_pooled_restarts_match_the_serial_loop(monkeypatch, n_seeds, cpus):
+    usable_cpus(monkeypatch, cpus)
+    ds = tiny_ds(n=36, seed=11)
+    cfg = TrainConfig(variant="base_only", epochs=25, seed=10)  # seeds 10, 11, 12 win
+    want = serial_restarts(ds, cfg, n_seeds)
+    got = fit_base_multi_seed(ds, cfg, n_seeds=n_seeds)
+    assert got.config.seed == want.config.seed
+    assert got.to_json() == want.to_json()
+    assert got.scores.tobytes() == want.scores.tobytes()
+
+
+# final reconstruction loss per seed; other seeds diverge
+STUB_FINAL_LOSS = {10: 0.5, 11: 0.25, 12: 0.25, 13: 0.25}
+
+
+def stub_restart(ds, cfg):
+    """A module-level stand-in for fit_base, so a forked worker can run it."""
+    if cfg.seed not in STUB_FINAL_LOSS:
+        raise TrainingError(f"base_only fit diverged at epoch 0: seed {cfg.seed}")
+    return FitResult(params=init_params(ds.d, cfg.seed),
+                     trace={"base": [1.0, STUB_FINAL_LOSS[cfg.seed]]}, scores=None, config=cfg)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fit_base_multi_seed_ties_go_to_the_smallest_seed(monkeypatch, cpus):
+    from fairod import training
+
+    usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(training, "fit_base", stub_restart)
+    ds = tiny_ds()
+    assert fit_base_multi_seed(ds, TrainConfig(seed=10), n_seeds=4).config.seed == 11
+    assert fit_base_multi_seed(ds, TrainConfig(seed=12), n_seeds=2).config.seed == 12
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_diverging_restart_in_seed_order_raises(monkeypatch, cpus):
+    from fairod import training
+
+    usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(training, "fit_base", stub_restart)
+    # seeds 14 and 15 both diverge; the serial loop stops at 14
+    with pytest.raises(TrainingError) as err:
+        fit_base_multi_seed(tiny_ds(), TrainConfig(seed=10), n_seeds=6)
+    assert type(err.value) is TrainingError
+    assert str(err.value) == "base_only fit diverged at epoch 0: seed 14"
+
+
+def test_diverging_restarts_raise_in_the_pool_as_in_the_loop(monkeypatch):
+    ds, cfg = tiny_ds(), TrainConfig(lr=1e200, epochs=1, seed=3)
+    raised = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+            fit_base_multi_seed(ds, cfg, n_seeds=2)
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1] == (TrainingError, "base_only fit produced non-finite scores")
+
+
 # -- grid and selection -------------------------------------------------------------------
 
 
@@ -510,9 +585,25 @@ def test_grid_search_pool_has_no_more_workers_than_cells(monkeypatch):
 
     monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
     ds = tiny_ds(n=24, seed=7)
-    base = fit_base(ds, TrainConfig(variant="base_only", epochs=4, seed=2))
+    base_cfg = TrainConfig(variant="base_only", epochs=4, seed=2)
+    # base restarts: one worker per seed up to the usable CPUs, no pool for one of either
+    for cpus, n_seeds, workers in [(2, 5, [2]), (8, 3, [3]), (2, 1, []), (1, 5, [])]:
+        usable_cpus(monkeypatch, cpus)
+        started.clear()
+        fit_base_multi_seed(ds, base_cfg, n_seeds=n_seeds)
+        assert started == workers
+    # without an affinity call the CPU count stands in, and an unknown count is one CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, workers in [(3, [3]), (None, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        started.clear()
+        fit_base_multi_seed(ds, base_cfg, n_seeds=5)
+        assert started == workers
+
+    base = fit_base(ds, base_cfg)
     grid = {"alpha": [0.1, 0.9], "gamma": [0.5]}
     cfg = TrainConfig(epochs=4, seed=2)
+    started.clear()
     pooled = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=64)
     assert started == [2]
     serial = grid_search(ds, base, grid=grid, cfg_common=cfg, jobs=1)
