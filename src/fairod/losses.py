@@ -27,6 +27,18 @@ two kernels between calls, one pair per FFT length (`_kernel_spectra`, at
 most 8 MiB); they depend on nothing else, so a cold and a warm cache give
 the same bits, and a forked grid cell inherits its parent's.
 
+Each thread also keeps workspaces (`_workspace`), so that a repeated
+full-batch epoch allocates no grid-length array and no tanh block: the
+binned pass's two grids and two spectra for the last FFT length it ran
+(at most 8 MiB, at the grid cap), and a triangle scratch for the tanh
+blocks of an exact group of _RANK_BLOCK + 1 to _BINNED_MIN_ROWS - 1 rows
+(at most about 4.2 MiB).  No result depends on the order of calls.  The
+binned VJP forms everything it reads from the forward pass in that pass,
+and uses the buffers only as scratch.  An exact VJP squares the forward
+pass's blocks in place only while that pass still owns the scratch; after
+a later forward pass took it, as the tape's does for every group before
+any VJP, it recomputes them, with the same bits.
+
 Two epsilons appear throughout: EPS_DENOM (1e-8) guards correlation/scale
 denominators, and EPS_VAR (1e-16) is added under square roots so gradients
 stay finite when a variance hits zero.
@@ -35,6 +47,7 @@ stay finite when a variance hits zero.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -212,7 +225,9 @@ def loss_sp(scores: np.ndarray, pv: np.ndarray) -> float:
 
 
 # Rows per block of the smoothed-rank pair computation: a block holds at
-# most _RANK_BLOCK * n pair values, which bounds the rank term's memory.
+# most _RANK_BLOCK * n pair values.  From _BINNED_MIN_ROWS rows up the exact
+# pass holds one block at a time, which bounds the rank term's memory;
+# below, a thread's triangle scratch keeps every block of its last pass.
 _RANK_BLOCK = 64
 
 # The fused pass ranks a group of at least _BINNED_MIN_ROWS rows on a grid
@@ -220,23 +235,25 @@ _RANK_BLOCK = 64
 # than the pairs: bins * _PAIRS_PER_BIN < n^2, bins the power of two at or
 # above the grid's points, at most _BINNED_MAX_BINS.  Measured on a 2-CPU
 # box, forward pass and VJP at c = 50 (median of 15-21): the exact pass
-# takes 4.7-5.7 ns per pair at 768-3000 rows.  The binned pass
-# runs FFTs of length L, the power of two at or above points +
-# _KERNEL_REACH: at 2000 rows it takes 0.33 ms at L = 4096, 0.57 ms at 8192,
-# 1.3 ms at 16384, 3.4 ms at 32768, 8.5 ms at 65536 and 20 ms at 131072
-# (70-155 ns per point of L, rising with L; 42 ms at the cap, 2^17 points
-# and L = 2^18), plus about 90 ns per row.  A 2000-row synth1 group (5300-
-# 15500 points, L 8192-16384) takes 0.6-1.9 ms.  Its peak memory at 2^17
-# points is 8 MiB at 2000 rows and 11 MiB at 10^5, plus the 4 MiB of
-# kernel spectra the first call at that L keeps.  At _BIN_STEP = 0.1 the
-# rank error on recorded synth1 fits (2000 rows, ranges 11-31) was at most
-# 0.28, and the gf term's relative error on heavy-tailed test inputs at most
-# 4e-4; both grow as _BIN_STEP squared.  Per bin the binned pass costs about
-# 70-160 ns, so a break-even near 25 pairs per bin would bin more groups;
+# takes 3.5-5.7 ns per pair from 1024 rows up (2.6-3.3 ns below 1024, where
+# the VJP reuses the forward pass's blocks).  The binned pass runs FFTs of
+# length L, the power of two at or above points + _KERNEL_REACH: in kept
+# buffers, at 2000 rows it takes 0.27 ms at L = 4096, 0.45 ms at 8192,
+# 0.8 ms at 16384, 2.3 ms at 32768, 3.3 ms at 65536, 11 ms at 131072 and
+# 25 ms at the cap, 2^17 points and L = 2^18 (50-95 ns per point of L).
+# A 2000-row synth1 group (5300-18100 points, L 8192-32768) takes
+# 0.45-1.5 ms.  Its peak memory at 2^17 points is the 8 MiB of buffers its
+# thread keeps (`_fft_buffers`) plus 0.1 MiB at 2000 rows and 6 MiB at
+# 10^5, and the 4 MiB of kernel spectra the first call at that L keeps.
+# At _BIN_STEP = 0.1 the rank error on recorded synth1 fits (2000 rows,
+# ranges 11-31) was at most 0.28, and the gf term's relative error on
+# heavy-tailed test inputs at most 4e-4; both grow as _BIN_STEP squared.
+# Per bin the binned pass costs about 50-95 ns, so a break-even near 10-20
+# pairs per bin would bin more groups;
 # _PAIRS_PER_BIN stays at the 50 measured for the earlier length-2 bins
 # pass on purpose, so that the same groups are binned, and re-tuning it is
 # a change of its own.  Below
-# _BINNED_MIN_ROWS the exact pass costs at most about 5 ms, and every group
+# _BINNED_MIN_ROWS the exact pass costs at most about 3 ms, and every group
 # there stays exact, every minibatch group among them.
 _BINNED_MIN_ROWS = 1024
 _BIN_STEP = 0.1
@@ -248,6 +265,39 @@ _BINNED_MAX_BINS = 1 << 17
 # with 2|x| = _BIN_STEP |d|, and 4 exp(-62 ln 2) = 2^-60.  430 at 0.1.
 _KERNEL_REACH = math.ceil(62.0 * math.log(2.0) / _BIN_STEP)
 _spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # `_kernel_spectra`, by FFT length
+
+
+class _Workspace(threading.local):
+    """One thread's kept rank buffers, so that a repeated pass allocates no
+    grid-length array and no tanh block.  `grids` (two grids of `size`
+    values) and `spectra` (two spectra of size // 2 + 1) serve the binned
+    pass at the last FFT length it ran; `triangle` holds the tanh blocks of
+    the last exact pass of _RANK_BLOCK + 1 to _BINNED_MIN_ROWS - 1 rows, and
+    `owner` that pass's token."""
+
+    size = 0
+    grids = spectra = None
+    triangle = np.empty(0)
+    owner = None
+
+
+_workspace = _Workspace()
+
+
+def _triangle(n: int) -> list[np.ndarray]:
+    """One view per _RANK_BLOCK-row block of an n-row exact pass into this
+    thread's triangle scratch, grown to fit.  Each block starts at a
+    multiple of 8 values (64 bytes) and has the shape and strides of a block
+    allocated on its own."""
+    shapes = [(min(a + _RANK_BLOCK, n) - a, n - a) for a in range(0, n, _RANK_BLOCK)]
+    offsets = [0]
+    for rows, cols in shapes:
+        offsets.append(offsets[-1] + -(-rows * cols // 8) * 8)
+    if _workspace.triangle.size < offsets[-1]:
+        _workspace.triangle = np.empty(offsets[-1])
+    tri = _workspace.triangle
+    return [tri[o:o + rows * cols].reshape(rows, cols)
+            for o, (rows, cols) in zip(offsets, shapes)]
 
 
 def _pairwise_ranks(s: np.ndarray, c: float):
@@ -266,27 +316,36 @@ def _pairwise_ranks(s: np.ndarray, c: float):
 
     The pullback of an upstream u is u @ D - u * D.sum(axis=1) with
     D = c sigma (1 - sigma) = (c/4)(1 - T), T = t*t.  D is symmetric, so
-    it equals (c/4)(sum(u) - T u - u (n - T.sum(axis=1))).  The VJP
-    recomputes every block but the forward pass's last one (at most
-    _RANK_BLOCK x _RANK_BLOCK, the whole matrix of a one-block group)
-    rather than keeping n^2/2 values alive.
+    it equals (c/4)(sum(u) - T u - u (n - T.sum(axis=1))).
 
-    Each block is dropped before the next is formed, so the pass holds one
-    block of at most _RANK_BLOCK * n pair values at a time.
+    Where the blocks live depends on n.  A one-block group keeps its block,
+    which the VJP squares into a new array.  Between _RANK_BLOCK and
+    _BINNED_MIN_ROWS rows the forward pass writes every block into this
+    thread's triangle scratch (`_triangle`, at most about 4.2 MiB) and
+    takes it with a fresh token; a VJP that still holds the token squares
+    the blocks in place, and one whose scratch a later pass took (the tape
+    runs every group's forward pass before any VJP) recomputes them, with
+    the same bits.  From _BINNED_MIN_ROWS rows up the pass holds one block
+    of at most _RANK_BLOCK * n pair values at a time, and the VJP
+    recomputes every block but the last.
     """
     n = s.size
     h = (0.5 * c) * s
     starts = range(0, n, _RANK_BLOCK)
+    blocks = _triangle(n) if _RANK_BLOCK < n < _BINNED_MIN_ROWS else None
+    if blocks is not None:
+        token = _workspace.owner = object()
 
-    def block(a):
+    def block(a, out=None):
         b = min(a + _RANK_BLOCK, n)
-        t = h[a:] - h[a:b, None]  # [i - a, k - a] = h_k - h_i
+        # [i - a, k - a] = h_k - h_i
+        t = h[a:] - h[a:b, None] if out is None else np.subtract(h[a:], h[a:b, None], out=out)
         np.tanh(t, out=t)
         return b, t
 
     tsum = np.zeros(n)
     for a in starts:
-        b, t = block(a)
+        b, t = block(a) if blocks is None else block(a, blocks[a // _RANK_BLOCK])
         tsum[a:b] += t.sum(axis=1)
         if b < n:
             tsum[b:] -= t[:, b - a:].sum(axis=0)
@@ -296,11 +355,18 @@ def _pairwise_ranks(s: np.ndarray, c: float):
     ranks = tsum * 0.5 + (0.5 + 0.5 * n)
 
     def vjp(g):
+        own = blocks is not None and _workspace.owner is token
+        if own:
+            _workspace.owner = None  # its tanh blocks are squared below
         tg = np.zeros(n)
         tsq = np.zeros(n)
         for a in starts[::-1]:
-            if a == starts[-1]:
+            if a == starts[-1] and blocks is None:
                 b, t = n, np.square(last)
+            elif own:
+                t = blocks[a // _RANK_BLOCK]
+                b = a + t.shape[0]
+                np.square(t, out=t)
             else:
                 b, t = block(a)
                 np.square(t, out=t)
@@ -364,6 +430,9 @@ def _binned_ranks(s: np.ndarray, c: float, points: int):
     out_j = sum_i g_i D(s_j - s_i) - g_j sum_k D(s_k - s_j), whose self
     terms cancel.  The kernels do not depend on c or on the scores, so
     their spectra are cached per L (`_kernel_spectra`): five FFTs a pass.
+    The grids and spectra are this thread's kept buffers (`_fft_buffers`).
+    The VJP's self term, the plain weights correlated with D, is formed in
+    the forward pass, so the VJP reads nothing a later pass overwrites.
     Ties add no error of their own in the forward pass: tied scores share
     their weights, and both parts of the kernel are odd.  The centred grid
     bins -s as the mirror image of s, so, as for the exact ranks, the
@@ -378,33 +447,58 @@ def _binned_ranks(s: np.ndarray, c: float, points: int):
     right_w = pos - left
     left_w = 1.0 - right_w
 
-    def spread(weights_left, weights_right):  # onto the grid
-        return (np.bincount(left, weights_left, points)
-                + np.bincount(left + 1, weights_right, points))
+    def spread(grids, weights_left, weights_right):
+        """Onto grids[0], zero past the grid's points, with grids[1] as
+        scratch: the bits of two np.bincount calls summed."""
+        grid, spare = grids
+        grid.fill(0.0)
+        spare[:points] = 0.0
+        np.add.at(grid, left, weights_left)
+        np.add.at(spare, left + 1, weights_right)
+        grid[:points] += spare[:points]
+        return grid
 
     def gather(grid):  # grid values interpolated at s
         return grid[left] * left_w + grid[left + 1] * right_w
 
-    weights = spread(left_w, right_w)
-    spectrum = np.fft.rfft(weights, size)
-    # the weights become the grid's sign sums, in place so that no spare
-    # grid is held across the FFTs: sum_p w_p sign(p - m) = sum_{p > m} w_p
-    # - sum_{p < m} w_p = total + w_m - 2 sum_{p <= m} w_p
-    below = np.cumsum(weights)
+    grids, (spectrum, product) = _fft_buffers(size)
+    np.fft.rfft(spread(grids, left_w, right_w), out=spectrum)
+    # the weights become the grid's sign sums, in place: sum_p w_p sign(p - m)
+    # = sum_{p > m} w_p - sum_{p < m} w_p = total + w_m - 2 sum_{p <= m} w_p
+    weights, spare = grids[0, :points], grids[1]
+    below = np.cumsum(weights, out=spare[:points])
     weights += below[-1]
     below *= 2.0
     weights -= below
-    del below
-    weights += np.fft.irfft(spectrum * remainder, size)[:points]
+    np.fft.irfft(np.multiply(spectrum, remainder, out=product), size, out=spare)
+    weights += spare[:points]
     ranks = gather(weights) * 0.5 + (0.5 + 0.5 * n)
+    np.fft.irfft(np.multiply(spectrum, sech2, out=product), size, out=spare)
+    self_sums = gather(spare)
 
     def vjp(g):
-        gw = np.fft.rfft(spread(g * left_w, g * right_w), size)
+        grids, (gw, _) = _fft_buffers(size)
+        np.fft.rfft(spread(grids, g * left_w, g * right_w), out=gw)
         gw *= sech2
-        return (0.25 * c) * (gather(np.fft.irfft(gw, size))
-                             - g * gather(np.fft.irfft(spectrum * sech2, size)))
+        out = np.fft.irfft(gw, size, out=grids[1])
+        return (0.25 * c) * (gather(out) - g * self_sums)
 
     return ranks, vjp
+
+
+def _fft_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two grids of `size` values and two spectra of
+    size // 2 + 1, allocated again only when the FFT length changes: at
+    most 8 MiB, at the cap's L = 2^18."""
+    ws = _workspace
+    if ws.size != size:
+        # the old length's buffers go first, and a failed allocation leaves
+        # no length behind
+        ws.size, ws.grids, ws.spectra = 0, None, None
+        ws.grids = np.empty((2, size))
+        ws.spectra = np.empty((2, size // 2 + 1), dtype=complex)
+        ws.size = size
+    return ws.grids, ws.spectra
 
 
 def _rank_bins(s: np.ndarray, c: float) -> int:
